@@ -14,7 +14,9 @@ use std::time::Instant;
 
 use hetero_apps::stream;
 use hetero_platform::Platform;
-use hetero_runtime::{fold_stream, MetricsRegistry, RunDiff, SpanTree, TraceObserver};
+use hetero_runtime::{
+    fold_stream, MetricsRegistry, RunDiff, SnapshotObserver, SpanTree, TraceObserver,
+};
 use matchmaker::{Analyzer, ExecutionConfig, RunSpec, Strategy, STREAM_STRATEGY_LABEL};
 use serde::Serialize;
 
@@ -56,9 +58,12 @@ fn main() {
 
     // One reference streamed run supplies the snapshot lines, registry
     // JSON and trace every benchmark below chews on.
-    let (_, obs) = analyzer
-        .simulate_streamed(&desc, config, &spec)
-        .expect("reference streamed run");
+    let streamed_run = || {
+        let mut obs = SnapshotObserver::new(&platform, STREAM_STRATEGY_LABEL);
+        let report = analyzer.execute(&desc, config, &spec, &mut obs, None);
+        (report.expect("streamed run"), obs)
+    };
+    let (_, obs) = streamed_run();
     let stream_text = obs.stream();
     let snapshots = obs.lines().len() as u64;
     assert!(snapshots >= 4, "want a multi-epoch stream, got {snapshots}");
@@ -66,7 +71,9 @@ fn main() {
     let series = obs.registry().series.len() as u64;
 
     let mut tobs = TraceObserver::new();
-    analyzer.simulate_observed(&desc, config, &mut tobs);
+    analyzer
+        .execute(&desc, config, &RunSpec::plain(), &mut tobs, None)
+        .unwrap();
     let tree = SpanTree::from_trace(tobs.trace(), &platform);
     let spans = tree.span_count() as u64;
     let events = tobs.trace().events.len() as u64;
@@ -87,13 +94,7 @@ fn main() {
     // delta-encoding a line at every barrier.
     let plain = measure(SAMPLES, || analyzer.simulate(&desc, config).makespan);
     push("simulate_plain", plain, snapshots, "snapshot");
-    let streamed = measure(SAMPLES, || {
-        analyzer
-            .simulate_streamed(&desc, config, &spec)
-            .unwrap()
-            .0
-            .makespan
-    });
+    let streamed = measure(SAMPLES, || streamed_run().0.makespan);
     push("simulate_streamed", streamed, snapshots, "snapshot");
 
     // Consumer side: fold the delta lines back into a full registry (the

@@ -92,6 +92,8 @@
 //!   --tolerance <pct>                   # relative tolerance before a moved series
 //!                                       # counts as improved/regressed (default 0)
 //!   --report-only                       # print the verdict table but always exit 0
+//!                                       # (otherwise: exit 1 when a series regressed,
+//!                                       # 4 when baseline series are only missing)
 //!
 //! fuzz options:
 //!   --iters <n>                         # scenarios to fuzz (default 100)
@@ -107,10 +109,10 @@
 //! maps only) — CI runs the same campaign twice and diffs the output — and
 //! exits non-zero if any oracle was violated.
 
-use hetero_platform::{FaultTrace, KillSchedule, Platform, RetryPolicy, SimTime};
+use hetero_platform::{FaultTrace, KillSchedule, Platform, SimTime};
 use hetero_runtime::{
-    AdaptConfig, HealthConfig, MetricsObserver, MetricsRegistry, MultiObserver, RunDiff,
-    SnapshotObserver, SpanTree, TraceObserver, DEFAULT_GANTT_WIDTH,
+    AdaptConfig, HealthConfig, MetricsObserver, MetricsRegistry, MultiObserver, NullObserver,
+    Observer, RunDiff, SnapshotObserver, SpanTree, TraceObserver, DEFAULT_GANTT_WIDTH,
 };
 use matchmaker::{
     encode_response, run_load, tune_task_size, Analyzer, AppDescriptor, Arrival, ChaosSchedule,
@@ -473,6 +475,16 @@ fn main() {
                     exit(1);
                 }
             }
+            let spec = match (fault_schedule.clone(), replan) {
+                (Some(schedule), true) => RunSpec::repairing(
+                    schedule,
+                    HealthConfig::disabled(),
+                    AdaptConfig::disabled(),
+                    ReplanConfig::enabled_default(),
+                ),
+                (Some(schedule), false) => RunSpec::faulty(schedule),
+                (None, _) => RunSpec::plain(),
+            };
             let analysis = analyzer.analyze(&desc);
             let names: Vec<&str> = platform
                 .devices
@@ -493,73 +505,28 @@ fn main() {
                     "config", "time", "GPU share", "transferred", "decisions"
                 );
             }
-            for config in [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
-                .into_iter()
-                .chain(
-                    analysis
-                        .ranking
-                        .iter()
-                        .map(|&s| ExecutionConfig::Strategy(s)),
-                )
-            {
+            for config in analysis.compared_configs() {
                 let label = config.to_string();
-                let report = if let (true, Some(schedule)) = (replan, &fault_schedule) {
-                    // Degraded-mode plan repair: a typed `ReplanError` from
-                    // any configuration aborts the comparison non-zero —
-                    // silent fallback would misrepresent the repaired times.
-                    let result = if metrics_path.is_some() {
-                        let mut mobs = MetricsObserver::new(&platform, &label);
-                        let result = analyzer.simulate_repairing_observed(
-                            &desc,
-                            config,
-                            schedule,
-                            RetryPolicy::default(),
-                            &HealthConfig::disabled(),
-                            &AdaptConfig::disabled(),
-                            &ReplanConfig::enabled_default(),
-                            &mut mobs,
-                        );
-                        registry.merge(mobs.registry());
-                        result
-                    } else {
-                        analyzer.simulate_repairing(
-                            &desc,
-                            config,
-                            schedule,
-                            RetryPolicy::default(),
-                            &HealthConfig::disabled(),
-                            &AdaptConfig::disabled(),
-                            &ReplanConfig::enabled_default(),
-                        )
-                    };
-                    result.unwrap_or_else(|e| {
-                        eprintln!("replan: {label}: {e}");
-                        exit(1);
-                    })
-                } else if let Some(schedule) = &fault_schedule {
-                    if metrics_path.is_some() {
-                        let mut mobs = MetricsObserver::new(&platform, &label);
-                        let report = analyzer.simulate_resilient_observed(
-                            &desc,
-                            config,
-                            schedule,
-                            RetryPolicy::default(),
-                            &HealthConfig::disabled(),
-                            &mut mobs,
-                        );
-                        registry.merge(mobs.registry());
-                        report
-                    } else {
-                        analyzer.simulate_faulty(&desc, config, schedule, RetryPolicy::default())
-                    }
-                } else if metrics_path.is_some() {
-                    let mut mobs = MetricsObserver::new(&platform, &label);
-                    let report = analyzer.simulate_observed(&desc, config, &mut mobs);
-                    registry.merge(mobs.registry());
-                    report
+                let mut mobs = MetricsObserver::new(&platform, &label);
+                let obs: &mut dyn Observer = if metrics_path.is_some() {
+                    &mut mobs
                 } else {
-                    analyzer.simulate(&desc, config)
+                    &mut NullObserver
                 };
+                let report = analyzer
+                    .execute(&desc, config, &spec, obs, None)
+                    .unwrap_or_else(|e| {
+                        eprintln!("{label}: {e}");
+                        exit(1);
+                    });
+                registry.merge(mobs.registry());
+                // Degraded-mode plan repair: a replan error from any
+                // configuration aborts the comparison non-zero — silent
+                // fallback would misrepresent the repaired times.
+                if let Some(e) = &report.adapt.replan_error {
+                    eprintln!("replan: {label}: {e}");
+                    exit(1);
+                }
                 if config == ExecutionConfig::Strategy(analysis.best) {
                     best_synth = report.synthesized_faults.clone();
                 }
@@ -619,11 +586,10 @@ fn main() {
             let mut mobs = MetricsObserver::new(&platform, &analysis.best.to_string());
             let report = {
                 let mut multi = MultiObserver::new().with(&mut tobs).with(&mut mobs);
-                analyzer.simulate_observed(
-                    &desc,
-                    ExecutionConfig::Strategy(analysis.best),
-                    &mut multi,
-                )
+                let config = ExecutionConfig::Strategy(analysis.best);
+                analyzer
+                    .execute(&desc, config, &RunSpec::plain(), &mut multi, None)
+                    .expect("a plain unjournaled run cannot fail")
             };
             println!(
                 "{} under {} — {}",
@@ -823,19 +789,16 @@ fn main() {
             let analysis = analyzer.analyze(&desc);
             let config = ExecutionConfig::Strategy(analysis.best);
             let mut tobs = TraceObserver::new();
-            let report = match fault_trace_path.as_deref() {
-                Some(p) => {
-                    let spec = RunSpec::faulty(load_fault_trace(p).replay_schedule());
-                    let mut sink = JournalSink::record();
-                    analyzer
-                        .simulate_journaled_observed(&desc, config, &spec, &mut sink, &mut tobs)
-                        .unwrap_or_else(|e| {
-                            eprintln!("flame run failed: {e}");
-                            exit(1);
-                        })
-                }
-                None => analyzer.simulate_observed(&desc, config, &mut tobs),
+            let spec = match fault_trace_path.as_deref() {
+                Some(p) => RunSpec::faulty(load_fault_trace(p).replay_schedule()),
+                None => RunSpec::plain(),
             };
+            let report = analyzer
+                .execute(&desc, config, &spec, &mut tobs, None)
+                .unwrap_or_else(|e| {
+                    eprintln!("flame run failed: {e}");
+                    exit(1);
+                });
             let tree = SpanTree::from_trace(tobs.trace(), &platform);
             if let Some(cp) = &chrome_out {
                 let json = SpanTree::to_chrome_json_with_flows(tobs.trace(), &platform);
@@ -876,13 +839,21 @@ fn main() {
                     exit(1);
                 });
             print!("{}", diff.render());
-            if diff.has_regressions() {
+            // Regressions exit 1; series missing from B with nothing
+            // regressed exit 4 (a coverage gap, not a slowdown).
+            let failure = if diff.has_regressions() {
+                Some(("regressions found", 1))
+            } else if diff.has_missing() {
+                Some(("no regressions, but baseline series are missing", 4))
+            } else {
+                None
+            };
+            if let Some((what, code)) = failure {
                 if report_only {
-                    eprintln!(
-                        "regressions found ({a_path} -> {b_path}); --report-only, not failing"
-                    );
+                    eprintln!("{what} ({a_path} -> {b_path}); --report-only, not failing");
                 } else {
-                    exit(1);
+                    eprintln!("{what} ({a_path} -> {b_path})");
+                    exit(code);
                 }
             }
         }

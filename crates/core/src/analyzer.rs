@@ -12,8 +12,8 @@ use crate::ranking::{best_strategy, ranking, SyncMode};
 use crate::strategy::{ExecutionConfig, Strategy};
 use hetero_platform::Platform;
 use hetero_runtime::{
-    simulate, simulate_dp_perf_warmed, simulate_dp_perf_warmed_observed, simulate_observed,
-    DepScheduler, Observer, PinnedScheduler, RunReport,
+    execute, DepScheduler, JournalError, JournalSink, NullObserver, Observer, PerfScheduler,
+    PinnedScheduler, RunMode, RunReport, RunSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -30,6 +30,17 @@ pub struct Analysis {
     pub ranking: Vec<Strategy>,
     /// The selected strategy.
     pub best: Strategy,
+}
+
+impl Analysis {
+    /// The paper's §IV comparison set: both single-device baselines, then
+    /// every suitable strategy in Table I rank order.
+    pub fn compared_configs(&self) -> Vec<ExecutionConfig> {
+        [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
+            .into_iter()
+            .chain(self.ranking.iter().map(|&s| ExecutionConfig::Strategy(s)))
+            .collect()
+    }
 }
 
 /// The application analyzer, bound to a platform.
@@ -88,44 +99,78 @@ impl<'a> Analyzer<'a> {
         self.planner.plan(desc, config)
     }
 
-    /// Plan and simulate one configuration, using the scheduler the
-    /// configuration calls for (DP-Perf runs with the paper's excluded
-    /// profiling warm-up).
+    /// Plan and simulate one configuration fault-free: [`Analyzer::execute`]
+    /// with [`RunSpec::plain`], unobserved and unjournaled.
     pub fn simulate(&self, desc: &AppDescriptor, config: ExecutionConfig) -> RunReport {
-        let plan = self.plan(desc, config);
-        let platform = self.planner.platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate(&plan.program, platform, &mut s)
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                simulate_dp_perf_warmed(&plan.program, platform)
-            }
-            _ => simulate(&plan.program, platform, &mut PinnedScheduler),
-        }
+        self.execute(desc, config, &RunSpec::plain(), &mut NullObserver, None)
+            .expect("a plain unjournaled run cannot fail")
     }
 
-    /// [`Analyzer::simulate`] with an [`Observer`] installed on the run
-    /// (for DP-Perf, on the measured run only — the profiling warm-up is
-    /// excluded from the observed stream just as it is from the report).
-    pub fn simulate_observed(
+    /// Plan and run one configuration with the layers `spec` enables: the
+    /// analyzer's one run entry. Three rules live here and nowhere else:
+    ///
+    /// * the scheduler is chosen by `config`: DP-Dep and DP-Perf run their
+    ///   dynamic schedulers, everything else runs its pinned plan;
+    /// * DP-Perf first runs the paper's excluded profiling warm-up
+    ///   ([`PerfScheduler::warmed`]: `spec` capped at
+    ///   [`RunMode::Resilient`], schedule through
+    ///   [`hetero_runtime::warmup_schedule`]), neither observed nor
+    ///   journaled, so `obs` and `journal` see exactly the measured run;
+    /// * [`RunMode::Adaptive`] and [`RunMode::Repairing`] plan with the
+    ///   misprediction planner (profiled rates skewed by the schedule's
+    ///   `ProfilePerturb` windows open at t = 0) and hand a static plan's
+    ///   [`hetero_runtime::AdaptPlan`] to the controller, which re-solves
+    ///   it against observed throughputs and can escalate to DP-Perf.
+    ///
+    /// `journal`, when present, must already be opened with
+    /// [`JournalSink::begin`] (see [`Analyzer::simulate_journaled`]). A
+    /// repairing run that gave up reports it in
+    /// `RunReport::adapt.replan_error`. Errors are those of
+    /// [`hetero_runtime::execute`]: an invalid spec, or a journal kill or
+    /// divergent replay.
+    pub fn execute(
         &self,
         desc: &AppDescriptor,
         config: ExecutionConfig,
+        spec: &RunSpec,
         obs: &mut dyn Observer,
-    ) -> RunReport {
-        let plan = self.plan(desc, config);
-        let platform = self.planner.platform;
+        journal: Option<&mut JournalSink>,
+    ) -> Result<RunReport, JournalError> {
+        let mispredicted;
+        let planner = if spec.mode >= RunMode::Adaptive {
+            // The misprediction planner reads the schedule before the
+            // executor runs, so it must not see an invalid one.
+            spec.validate()?;
+            mispredicted = self.misprediction_planner(spec.require_schedule()?);
+            &mispredicted
+        } else {
+            &self.planner
+        };
+        let plan = planner.plan(desc, config);
+        let (program, platform) = (&plan.program, planner.platform);
         match config {
             ExecutionConfig::Strategy(Strategy::DpDep) => {
                 let mut s = DepScheduler::new(platform);
-                simulate_observed(&plan.program, platform, &mut s, obs)
+                execute(program, platform, &mut s, spec, None, obs, journal)
             }
             ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                simulate_dp_perf_warmed_observed(&plan.program, platform, obs)
+                let mut s = PerfScheduler::warmed(program, platform, spec)?;
+                execute(program, platform, &mut s, spec, None, obs, journal)
             }
-            _ => simulate_observed(&plan.program, platform, &mut PinnedScheduler, obs),
+            _ => {
+                let adapt = (spec.mode >= RunMode::Adaptive)
+                    .then(|| planner.adapt_plan(desc, config))
+                    .flatten();
+                execute(
+                    program,
+                    platform,
+                    &mut PinnedScheduler,
+                    spec,
+                    adapt,
+                    obs,
+                    journal,
+                )
+            }
         }
     }
 
@@ -141,20 +186,11 @@ impl<'a> Analyzer<'a> {
     /// `(config, report)` pairs with the baselines first and strategies in
     /// Table I rank order.
     pub fn compare_all(&self, desc: &AppDescriptor) -> Vec<(ExecutionConfig, RunReport)> {
-        let analysis = self.analyze(desc);
-        let mut out = Vec::new();
-        for config in [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
+        let configs = self.analyze(desc).compared_configs();
+        configs
             .into_iter()
-            .chain(
-                analysis
-                    .ranking
-                    .iter()
-                    .map(|&s| ExecutionConfig::Strategy(s)),
-            )
-        {
-            out.push((config, self.simulate(desc, config)));
-        }
-        out
+            .map(|config| (config, self.simulate(desc, config)))
+            .collect()
     }
 }
 

@@ -24,12 +24,12 @@ use hetero_platform::fuzz::{
 };
 use hetero_platform::{
     DeviceKind, Efficiency, FaultEvent, FaultRng, FaultSchedule, FaultTrace, KernelProfile,
-    Precision, RetryPolicy, SimTime,
+    Precision, SimTime,
 };
 use hetero_runtime::{
     check_blame_identity, check_identical, run_native, AccessMode, AdaptConfig, BufferId,
-    ExecOrder, HealthConfig, HostBuffers, KernelFn, OracleKind, OracleViolation, ReplanConfig,
-    TimeBreakdown,
+    ExecOrder, HealthConfig, HostBuffers, KernelFn, NullObserver, OracleKind, OracleViolation,
+    ReplanConfig, RunSpec, TimeBreakdown,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -414,7 +414,13 @@ pub fn run_oracles_counted(
     let planner = Planner::new(&platform);
     let desc = &scenario.descriptor;
     let config = scenario.config;
-    let policy = RetryPolicy::default();
+    // Generated schedules and configs are valid by construction.
+    let run = |spec: &RunSpec| {
+        analyzer
+            .execute(desc, config, spec, &mut NullObserver, None)
+            .unwrap_or_else(|e| panic!("scenario {}: {e}", scenario.name))
+    };
+    let faulty_spec = RunSpec::faulty(scenario.schedule.clone());
 
     // (a) Differential: simulated plan lowerings execute natively to the
     // same result as the whole-domain reference, in both execution orders.
@@ -451,7 +457,7 @@ pub fn run_oracles_counted(
 
     // (b) Blame identity on the healthy and the faulty path, plus
     // (d) double-run determinism of the faulty path.
-    let faulty = analyzer.simulate_faulty(desc, config, &scenario.schedule, policy);
+    let faulty = run(&faulty_spec);
     {
         count(OracleKind::BlameIdentity, &mut checks);
         let healthy = analyzer.simulate(desc, config);
@@ -468,7 +474,7 @@ pub fn run_oracles_counted(
         }
 
         count(OracleKind::DoubleRunDeterminism, &mut checks);
-        let mut second = analyzer.simulate_faulty(desc, config, &scenario.schedule, policy);
+        let mut second = run(&faulty_spec);
         if inject.break_double_run {
             second.makespan += SimTime::from_nanos(1);
         }
@@ -486,8 +492,9 @@ pub fn run_oracles_counted(
     // replayed with triggering disabled, reproduces the run.
     count(OracleKind::ReplayDeterminism, &mut checks);
     {
-        let (recorded, trace) =
-            analyzer.record_fault_trace(desc, config, &scenario.schedule, policy);
+        let (recorded, trace) = analyzer
+            .record_fault_trace(desc, config, &scenario.schedule, faulty_spec.policy)
+            .unwrap_or_else(|e| panic!("scenario {}: {e}", scenario.name));
         match FaultTrace::from_json(&trace.to_json()) {
             Err(e) => violations.push(OracleViolation::new(
                 OracleKind::ReplayDeterminism,
@@ -498,8 +505,7 @@ pub fn run_oracles_counted(
                 "trace JSON round-trip changed the trace",
             )),
             Ok(parsed) => {
-                let replayed =
-                    analyzer.simulate_faulty(desc, config, &parsed.replay_schedule(), policy);
+                let replayed = run(&RunSpec::faulty(parsed.replay_schedule()));
                 if replayed.makespan != recorded.makespan
                     || replayed.breakdown != recorded.breakdown
                     || replayed.faults.task_faults != recorded.faults.task_faults
@@ -558,25 +564,13 @@ pub fn run_oracles_counted(
         let health = HealthConfig::disabled();
 
         count(OracleKind::AdaptiveNeverLoses, &mut checks);
-        let mis = analyzer.simulate_adaptive(
-            desc,
-            config,
-            &pschedule,
-            policy,
-            &health,
-            &AdaptConfig::disabled(),
-        );
-        let adaptive = analyzer.simulate_adaptive(
-            desc,
-            config,
-            &pschedule,
-            policy,
-            &health,
-            &AdaptConfig {
-                escalation: false,
-                ..AdaptConfig::enabled_default()
-            },
-        );
+        let adaptive_run =
+            |adapt: AdaptConfig| run(&RunSpec::adaptive(pschedule.clone(), health, adapt));
+        let mis = adaptive_run(AdaptConfig::disabled());
+        let adaptive = adaptive_run(AdaptConfig {
+            escalation: false,
+            ..AdaptConfig::enabled_default()
+        });
         if adaptive.makespan.as_secs_f64() > mis.makespan.as_secs_f64() * (1.0 + 1e-9) {
             violations.push(OracleViolation::new(
                 OracleKind::AdaptiveNeverLoses,
@@ -607,19 +601,11 @@ pub fn run_oracles_counted(
                 reinstate_after: 0,
                 ..AdaptConfig::enabled_default()
             };
-            let stayed =
-                analyzer.simulate_adaptive(desc, config, &pschedule, policy, &health, &stay);
-            let deescalated = analyzer.simulate_adaptive(
-                desc,
-                config,
-                &pschedule,
-                policy,
-                &health,
-                &AdaptConfig {
-                    reinstate_after: 2,
-                    ..stay
-                },
-            );
+            let stayed = adaptive_run(stay);
+            let deescalated = adaptive_run(AdaptConfig {
+                reinstate_after: 2,
+                ..stay
+            });
             if deescalated.makespan.as_secs_f64() > stayed.makespan.as_secs_f64() * (1.0 + 1e-9) {
                 violations.push(OracleViolation::new(
                     OracleKind::DeescalationNeverLoses,
@@ -654,21 +640,19 @@ pub fn run_oracles_counted(
         };
         let health = HealthConfig::disabled();
         count(OracleKind::RepairNeverLoses, &mut checks);
-        let naive = analyzer.simulate_resilient(desc, config, &dschedule, policy, &health);
+        let naive = run(&RunSpec::resilient(dschedule.clone(), health));
         // Adaptation stays off so the only delta between the runs is the
         // repair subsystem itself.
         // The repair subsystem giving up (budget exhausted, nothing to
         // re-plan onto) is the documented fall-back to naive failover, not
-        // a regression — the guarantee covers applied repairs (the `Ok`s).
-        if let Ok(repaired) = analyzer.simulate_repairing(
-            desc,
-            config,
-            &dschedule,
-            policy,
-            &health,
-            &AdaptConfig::disabled(),
-            &ReplanConfig::enabled_default(),
-        ) {
+        // a regression — the guarantee covers applied repairs.
+        let repaired = run(&RunSpec::repairing(
+            dschedule,
+            health,
+            AdaptConfig::disabled(),
+            ReplanConfig::enabled_default(),
+        ));
+        if repaired.adapt.replan_error.is_none() {
             if repaired.makespan.as_secs_f64() > naive.makespan.as_secs_f64() * (1.0 + 1e-9) {
                 violations.push(OracleViolation::new(
                     OracleKind::RepairNeverLoses,
@@ -692,7 +676,6 @@ pub fn run_oracles_counted(
     // faulty path always, and on the repairing path when the schedule
     // carries a permanent dropout (crash × plan-repair).
     {
-        use crate::journal::RunSpec;
         use hetero_platform::KillSchedule;
         use hetero_runtime::{JournalError, JournalSink, RunReport};
 
@@ -789,7 +772,7 @@ pub fn run_oracles_counted(
         };
 
         check_crash(
-            &RunSpec::faulty(scenario.schedule.clone()),
+            &faulty_spec,
             "faulty",
             Some(&faulty),
             &mut violations,
@@ -831,8 +814,7 @@ pub fn run_oracles_counted(
     // adaptive and repairing for static hybrid configs, where the
     // controller and re-planner apply).
     {
-        use crate::journal::RunSpec;
-        use hetero_runtime::fold_stream;
+        use hetero_runtime::{fold_stream, SnapshotObserver};
 
         let mut first_stream_check = true;
         let mut check_stream =
@@ -845,12 +827,13 @@ pub fn run_oracles_counted(
                     .or_insert(0) += 1;
                 let break_here = inject.break_stream_fold && first_stream_check;
                 first_stream_check = false;
-                match analyzer.simulate_streamed(desc, config, spec) {
+                let mut obs = SnapshotObserver::new(&platform, crate::STREAM_STRATEGY_LABEL);
+                match analyzer.execute(desc, config, spec, &mut obs, None) {
                     Err(e) => violations.push(OracleViolation::new(
                         OracleKind::StreamFoldEquivalence,
                         format!("{what}: streamed run failed: {e}"),
                     )),
-                    Ok((_, obs)) => {
+                    Ok(_) => {
                         let mut stream = obs.stream();
                         if break_here {
                             // Lose the final (run-end) delta line.
@@ -893,12 +876,7 @@ pub fn run_oracles_counted(
             };
 
         check_stream(&RunSpec::plain(), "plain", &mut violations, &mut checks);
-        check_stream(
-            &RunSpec::faulty(scenario.schedule.clone()),
-            "faulty",
-            &mut violations,
-            &mut checks,
-        );
+        check_stream(&faulty_spec, "faulty", &mut violations, &mut checks);
         check_stream(
             &RunSpec::resilient(scenario.schedule.clone(), HealthConfig::monitored()),
             "resilient",

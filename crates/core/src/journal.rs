@@ -16,125 +16,11 @@
 
 use crate::analyzer::Analyzer;
 use crate::descriptor::AppDescriptor;
-use crate::strategy::{ExecutionConfig, Strategy};
-use hetero_platform::{FaultSchedule, RetryPolicy};
+use crate::strategy::ExecutionConfig;
 use hetero_runtime::{
-    simulate_journaled_observed, AdaptConfig, DepScheduler, HealthConfig, JournalError,
-    JournalHeader, JournalSink, Observer, PerfScheduler, PinnedScheduler, ReplanConfig, RunJournal,
-    RunReport,
+    JournalError, JournalHeader, JournalSink, Observer, RunJournal, RunReport, RunSpec,
 };
-use serde::{Deserialize, Serialize};
-
-/// Which executor path a journaled run takes — the journal-header analog
-/// of choosing between `Analyzer::simulate`, `simulate_faulty`,
-/// `simulate_resilient`, `simulate_adaptive`, and `simulate_repairing`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RunMode {
-    /// Fault-free execution (`Analyzer::simulate`).
-    Plain,
-    /// Fault injection with retries, mitigation off
-    /// (`Analyzer::simulate_faulty`).
-    Faulty,
-    /// Faults plus the gray-failure health subsystem
-    /// (`Analyzer::simulate_resilient`).
-    Resilient,
-    /// Faults, health, and the adaptive-repartitioning controller
-    /// (`Analyzer::simulate_adaptive`).
-    Adaptive,
-    /// The full stack including degraded-mode plan repair
-    /// (`Analyzer::simulate_repairing`).
-    Repairing,
-}
-
-/// Everything beyond the descriptor and execution config that shapes a
-/// journaled run. Serialized whole into the journal header, so resume
-/// re-creates the exact executor configuration without any side channel.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RunSpec {
-    /// The executor path.
-    pub mode: RunMode,
-    /// The fault schedule (required for every mode but [`RunMode::Plain`]).
-    pub schedule: Option<FaultSchedule>,
-    /// Retry/failover budgets for the faulty paths.
-    pub policy: RetryPolicy,
-    /// Gray-failure mitigation ([`RunMode::Resilient`] and up; the faulty
-    /// mode runs with it disabled regardless).
-    pub health: HealthConfig,
-    /// The adaptation controller ([`RunMode::Adaptive`] and up).
-    pub adapt: AdaptConfig,
-    /// Degraded-mode plan repair ([`RunMode::Repairing`] only).
-    pub replan: ReplanConfig,
-}
-
-impl RunSpec {
-    /// A fault-free run.
-    pub fn plain() -> Self {
-        RunSpec {
-            mode: RunMode::Plain,
-            schedule: None,
-            policy: RetryPolicy::default(),
-            health: HealthConfig::disabled(),
-            adapt: AdaptConfig::disabled(),
-            replan: ReplanConfig::disabled(),
-        }
-    }
-
-    /// A faulty run under `schedule` with default retry budgets.
-    pub fn faulty(schedule: FaultSchedule) -> Self {
-        RunSpec {
-            mode: RunMode::Faulty,
-            schedule: Some(schedule),
-            ..RunSpec::plain()
-        }
-    }
-
-    /// A resilient run: `schedule` plus `health`.
-    pub fn resilient(schedule: FaultSchedule, health: HealthConfig) -> Self {
-        RunSpec {
-            mode: RunMode::Resilient,
-            schedule: Some(schedule),
-            health,
-            ..RunSpec::plain()
-        }
-    }
-
-    /// An adaptive run: `schedule`, `health`, and the controller `adapt`.
-    pub fn adaptive(schedule: FaultSchedule, health: HealthConfig, adapt: AdaptConfig) -> Self {
-        RunSpec {
-            mode: RunMode::Adaptive,
-            schedule: Some(schedule),
-            health,
-            adapt,
-            ..RunSpec::plain()
-        }
-    }
-
-    /// A repairing run: the full stack.
-    pub fn repairing(
-        schedule: FaultSchedule,
-        health: HealthConfig,
-        adapt: AdaptConfig,
-        replan: ReplanConfig,
-    ) -> Self {
-        RunSpec {
-            mode: RunMode::Repairing,
-            schedule: Some(schedule),
-            health,
-            adapt,
-            replan,
-            ..RunSpec::plain()
-        }
-    }
-
-    /// The schedule, or a typed error for a mode that requires one.
-    fn require_schedule(&self) -> Result<&FaultSchedule, JournalError> {
-        self.schedule
-            .as_ref()
-            .ok_or_else(|| JournalError::HeaderMismatch {
-                field: format!("run mode {:?} requires a fault schedule", self.mode),
-            })
-    }
-}
+use serde::Serialize;
 
 fn json<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("journal inputs always serialize")
@@ -152,17 +38,15 @@ fn parse_input<T: serde::Deserialize>(
 }
 
 impl<'a> Analyzer<'a> {
-    /// [`Analyzer::simulate`] and its faulty/resilient/adaptive/repairing
-    /// siblings, selected by `spec.mode`, with `sink` committing one
-    /// journal record per epoch flush. The sink is opened here: the header
-    /// (descriptor, platform, config, and spec serialized as named inputs)
-    /// is written before the first event executes, making the journal
-    /// self-contained. Returns [`JournalError::Killed`] when the sink's
-    /// kill schedule fires — the journal text accumulated in the sink is
-    /// valid and resumable — and never fails for an unkilled record-mode
-    /// run. A repairing run that gave up reports through
-    /// `RunReport::adapt.replan_error`, exactly like
-    /// `Analyzer::simulate_repairing_observed`'s error channel.
+    /// [`Analyzer::execute`] of `spec`, unobserved, with `sink` committing
+    /// one journal record per epoch flush. The sink is opened here: the
+    /// header (descriptor, platform, config, and spec serialized as named
+    /// inputs) is written before the first event executes, making the
+    /// journal self-contained. Returns [`JournalError::Killed`] when the
+    /// sink's kill schedule fires — the journal text accumulated in the
+    /// sink is valid and resumable — and never fails for an unkilled
+    /// record-mode run of a valid spec. A repairing run that gave up
+    /// reports through `RunReport::adapt.replan_error`.
     pub fn simulate_journaled(
         &self,
         desc: &AppDescriptor,
@@ -191,7 +75,7 @@ impl<'a> Analyzer<'a> {
         obs: &mut dyn Observer,
     ) -> Result<RunReport, JournalError> {
         sink.begin(&self.journal_header(desc, config, spec))?;
-        self.dispatch_journaled(desc, config, spec, sink, obs)
+        self.execute(desc, config, spec, obs, Some(sink))
     }
 
     /// Resume a run from loaded journal `text`: validate and parse the
@@ -256,7 +140,7 @@ impl<'a> Analyzer<'a> {
         }
         let mut sink = JournalSink::resume(journal);
         sink.begin(&self.journal_header(&desc, config, &spec))?;
-        let report = self.dispatch_journaled(&desc, config, &spec, &mut sink, obs)?;
+        let report = self.execute(&desc, config, &spec, obs, Some(&mut sink))?;
         Ok((report, sink.text()))
     }
 
@@ -274,236 +158,6 @@ impl<'a> Analyzer<'a> {
             .with_input("config", json(&config))
             .with_input("run", json(spec))
     }
-
-    /// The journaled mirror of the analyzer's five simulate dispatches:
-    /// same planner, same scheduler construction, same warm-up handling,
-    /// byte-identical event sequences — with the sink observing epoch
-    /// commits.
-    fn dispatch_journaled(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        spec: &RunSpec,
-        sink: &mut JournalSink,
-        obs: &mut dyn Observer,
-    ) -> Result<RunReport, JournalError> {
-        match spec.mode {
-            RunMode::Plain => self.journaled_plain(desc, config, sink, obs),
-            RunMode::Faulty | RunMode::Resilient => {
-                let schedule = spec.require_schedule()?.clone();
-                let health = if spec.mode == RunMode::Faulty {
-                    HealthConfig::disabled()
-                } else {
-                    spec.health
-                };
-                self.journaled_resilient(desc, config, &schedule, spec.policy, health, sink, obs)
-            }
-            RunMode::Adaptive | RunMode::Repairing => {
-                let schedule = spec.require_schedule()?.clone();
-                let replan = (spec.mode == RunMode::Repairing).then_some(spec.replan);
-                self.journaled_adaptive(desc, config, &schedule, spec, replan, sink, obs)
-            }
-        }
-    }
-
-    /// Journaled [`Analyzer::simulate_observed`].
-    fn journaled_plain(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        sink: &mut JournalSink,
-        obs: &mut dyn Observer,
-    ) -> Result<RunReport, JournalError> {
-        let plan = self.plan(desc, config);
-        let platform = self.planner().platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    None,
-                    None,
-                    None,
-                    None,
-                    sink,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                // The warm-up pass is a pure function of the program and
-                // platform; it stays unjournaled and unobserved, exactly
-                // as it stays out of the report (resume regenerates it).
-                let mut warm = PerfScheduler::new(platform);
-                let _ = hetero_runtime::simulate(&plan.program, platform, &mut warm);
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    None,
-                    None,
-                    None,
-                    None,
-                    sink,
-                    obs,
-                )
-            }
-            _ => simulate_journaled_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                None,
-                None,
-                None,
-                None,
-                sink,
-                obs,
-            ),
-        }
-    }
-
-    /// Journaled [`Analyzer::simulate_resilient_observed`] (the faulty
-    /// mode is this with health disabled).
-    #[allow(clippy::too_many_arguments)]
-    fn journaled_resilient(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: HealthConfig,
-        sink: &mut JournalSink,
-        obs: &mut dyn Observer,
-    ) -> Result<RunReport, JournalError> {
-        let plan = self.plan(desc, config);
-        let platform = self.planner().platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    Some((schedule, policy)),
-                    Some(health),
-                    None,
-                    None,
-                    sink,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = hetero_runtime::simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    &health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    Some((schedule, policy)),
-                    Some(health),
-                    None,
-                    None,
-                    sink,
-                    obs,
-                )
-            }
-            _ => simulate_journaled_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                Some((schedule, policy)),
-                Some(health),
-                None,
-                None,
-                sink,
-                obs,
-            ),
-        }
-    }
-
-    /// Journaled [`Analyzer::simulate_adaptive_observed`] /
-    /// [`Analyzer::simulate_repairing_observed`] (`replan` present on the
-    /// repairing path).
-    #[allow(clippy::too_many_arguments)]
-    fn journaled_adaptive(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        spec: &RunSpec,
-        replan: Option<ReplanConfig>,
-        sink: &mut JournalSink,
-        obs: &mut dyn Observer,
-    ) -> Result<RunReport, JournalError> {
-        let planner = self.misprediction_planner(schedule);
-        let plan = planner.plan(desc, config);
-        let platform = planner.platform;
-        let policy = spec.policy;
-        let health = spec.health;
-        let adapt = spec.adapt;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    Some((schedule, policy)),
-                    Some(health),
-                    Some((adapt, None)),
-                    replan,
-                    sink,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = hetero_runtime::simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    &health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_journaled_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    Some((schedule, policy)),
-                    Some(health),
-                    Some((adapt, None)),
-                    replan,
-                    sink,
-                    obs,
-                )
-            }
-            _ => simulate_journaled_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                Some((schedule, policy)),
-                Some(health),
-                Some((adapt, planner.adapt_plan(desc, config))),
-                replan,
-                sink,
-                obs,
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -511,7 +165,8 @@ mod tests {
     use super::*;
     use crate::descriptor::tests_support::toy_descriptor;
     use crate::descriptor::ExecutionFlow;
-    use hetero_platform::{DeviceId, KillSchedule, Platform, SimTime};
+    use crate::strategy::Strategy;
+    use hetero_platform::{DeviceId, FaultSchedule, KillSchedule, Platform, SimTime};
     use hetero_runtime::{check_identical, OracleKind};
 
     fn desc() -> AppDescriptor {
@@ -610,28 +265,72 @@ mod tests {
         );
     }
 
+    /// A well-enveloped journal whose `run` header carries a spec that
+    /// cannot execute resumes to a typed error, one per validator — never
+    /// a panic.
     #[test]
-    fn spec_constructors_pick_the_right_mode() {
-        let s = FaultSchedule::new(1);
-        assert_eq!(RunSpec::plain().mode, RunMode::Plain);
-        assert_eq!(RunSpec::faulty(s.clone()).mode, RunMode::Faulty);
-        assert_eq!(
-            RunSpec::resilient(s.clone(), HealthConfig::disabled()).mode,
-            RunMode::Resilient
-        );
-        assert_eq!(
-            RunSpec::adaptive(s.clone(), HealthConfig::disabled(), AdaptConfig::disabled()).mode,
-            RunMode::Adaptive
-        );
-        let spec = RunSpec::repairing(
-            s,
-            HealthConfig::disabled(),
-            AdaptConfig::disabled(),
-            ReplanConfig::enabled_default(),
-        );
-        assert_eq!(spec.mode, RunMode::Repairing);
-        // The spec round-trips through its header encoding.
-        let back: RunSpec = serde_json::from_str(&json(&spec)).unwrap();
-        assert_eq!(back, spec);
+    fn resume_rejects_an_invalid_spec_typed() {
+        use hetero_runtime::{AdaptConfig, HealthConfig, ReplanConfig};
+        let platform = Platform::test_small();
+        let analyzer = Analyzer::new(&platform);
+        let config = ExecutionConfig::Strategy(Strategy::SpVaried);
+        let ok = FaultSchedule::new(1);
+        let flaky = |p| {
+            FaultSchedule::new(1).with_flaky(DeviceId(1), p, SimTime::ZERO, SimTime::from_millis(1))
+        };
+        let specs = [
+            ("fault schedule", RunSpec::faulty(flaky(7.0))),
+            (
+                "health config",
+                RunSpec::resilient(
+                    ok.clone(),
+                    HealthConfig {
+                        ewma_alpha: 0.0,
+                        ..HealthConfig::monitored()
+                    },
+                ),
+            ),
+            (
+                "adapt config",
+                RunSpec::adaptive(
+                    ok.clone(),
+                    HealthConfig::disabled(),
+                    AdaptConfig {
+                        skew_threshold: 2.0,
+                        ..AdaptConfig::enabled_default()
+                    },
+                ),
+            ),
+            (
+                "replan config",
+                RunSpec::repairing(
+                    ok,
+                    HealthConfig::disabled(),
+                    AdaptConfig::disabled(),
+                    ReplanConfig {
+                        max_replans: 0,
+                        ..ReplanConfig::enabled_default()
+                    },
+                ),
+            ),
+        ];
+        for (what, spec) in specs {
+            let mut sink = JournalSink::record();
+            sink.begin(&analyzer.journal_header(&desc(), config, &spec))
+                .unwrap();
+            let err = analyzer.resume(&sink.text()).unwrap_err();
+            assert!(
+                matches!(&err, JournalError::InvalidSpec { reason } if reason.starts_with(what)),
+                "{what}: {err}"
+            );
+            // Recording the same spec fails the same way.
+            let err = analyzer
+                .simulate_journaled(&desc(), config, &spec, &mut JournalSink::record())
+                .unwrap_err();
+            assert!(
+                matches!(err, JournalError::InvalidSpec { .. }),
+                "{what}: {err}"
+            );
+        }
     }
 }

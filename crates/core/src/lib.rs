@@ -17,7 +17,7 @@
 //! * [`strategy`] — the five partitioning strategies (SP-Single,
 //!   SP-Unified, SP-Varied, DP-Dep, DP-Perf; Fig. 4) and the baseline
 //!   execution configurations.
-//! * [`ranking`] — Table I: the suitable strategies and their theoretical
+//! * [`ranking`](mod@ranking) — Table I: the suitable strategies and their theoretical
 //!   performance ranking per class (Propositions 1–3).
 //! * [`plan`] — lowering a strategy to a concrete `hetero-runtime` program
 //!   (partition sizes from the `glinda` solver, pinnings, taskwaits).
@@ -76,8 +76,7 @@ pub use fuzz::{
 pub use hetero_runtime::PlanError;
 pub use hetero_runtime::{JournalError, JournalSink, RunJournal, SalvageReport};
 pub use hetero_runtime::{OracleKind, OracleViolation};
-pub use hetero_runtime::{ReplanConfig, ReplanError};
-pub use journal::{RunMode, RunSpec};
+pub use hetero_runtime::{ReplanConfig, ReplanError, RunMode, RunSpec};
 pub use plan::{KernelModel, KernelSplit, Plan, Planner, SurvivorPlan};
 pub use profile::{ProfileStore, RateProfile};
 pub use ranking::{best_strategy, escalation_target, rank_of, ranking, SyncMode};

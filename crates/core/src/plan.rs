@@ -509,7 +509,7 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// The [`AdaptPlan`] to carry into `simulate_adaptive` for a static
+    /// The [`AdaptPlan`] to carry into an adaptive run for a static
     /// hybrid plan: the partitioning problem this planner solved (with
     /// whatever misprediction `profile_skew` baked in) plus the emitted
     /// split and the accelerator it pins to.

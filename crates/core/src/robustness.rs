@@ -16,7 +16,7 @@ use crate::descriptor::AppDescriptor;
 use crate::plan::Planner;
 use crate::strategy::ExecutionConfig;
 use hetero_platform::{FaultSchedule, FaultTrace, RetryPolicy, SimTime};
-use hetero_runtime::{AdaptConfig, HealthConfig, ReplanConfig, ReplanError, RunReport};
+use hetero_runtime::{JournalError, NullObserver, RunReport, RunSpec};
 
 /// One configuration's healthy/faulty pair from [`Analyzer::rank_by_degradation`].
 #[derive(Clone, Debug)]
@@ -55,111 +55,6 @@ impl DegradationEntry {
 }
 
 impl<'a> Analyzer<'a> {
-    /// [`Analyzer::simulate`] under a fault schedule: the same plan, the
-    /// same scheduler dispatch, executed resiliently (DP-Perf warms up
-    /// under the faults too, so its learned rates see the sick platform).
-    pub fn simulate_faulty(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-    ) -> RunReport {
-        self.simulate_resilient(desc, config, schedule, policy, &HealthConfig::disabled())
-    }
-
-    /// [`Analyzer::simulate_faulty`] with the gray-failure resilience
-    /// subsystem configured by `health` (straggler hedging, SDC
-    /// verification, circuit breaker). With [`HealthConfig::disabled`]
-    /// this is exactly [`Analyzer::simulate_faulty`].
-    pub fn simulate_resilient(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-    ) -> RunReport {
-        self.simulate_resilient_observed(
-            desc,
-            config,
-            schedule,
-            policy,
-            health,
-            &mut hetero_runtime::NullObserver,
-        )
-    }
-
-    /// [`Analyzer::simulate_resilient`] with a pluggable
-    /// [`hetero_runtime::Observer`]. DP-Perf's warm-up pass runs
-    /// unobserved; only the measured pass feeds `obs`, so metrics and
-    /// traces describe exactly one run.
-    pub fn simulate_resilient_observed(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        obs: &mut dyn hetero_runtime::Observer,
-    ) -> RunReport {
-        use crate::strategy::Strategy;
-        use hetero_runtime::{
-            simulate_resilient, simulate_resilient_observed, DepScheduler, PerfScheduler,
-            PinnedScheduler,
-        };
-        let plan = self.plan(desc, config);
-        let platform = self.planner().platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_resilient_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    schedule,
-                    policy,
-                    health,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                // The warm-up learns rates under the base schedule with
-                // correlated triggering disabled, so the learned rates are
-                // replayable (see `hetero_runtime::warmup_schedule`).
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_resilient_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    schedule,
-                    policy,
-                    health,
-                    obs,
-                )
-            }
-            _ => simulate_resilient_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                schedule,
-                policy,
-                health,
-                obs,
-            ),
-        }
-    }
-
     /// Run `config` under `schedule` and record the run's *effective*
     /// fault trace: the input schedule plus every event synthesized
     /// during the run by correlated fault domains.
@@ -167,253 +62,23 @@ impl<'a> Analyzer<'a> {
     /// schedule — triggers baked in as ordinary windowed events,
     /// conditional triggering disabled — that replays this run
     /// byte-identically, and the trace's JSON form
-    /// ([`FaultTrace::to_json`]) can be archived or handed back to any
-    /// `rank_by_degradation_*` as a what-if.
+    /// ([`FaultTrace::to_json`]) can be archived or handed back to
+    /// [`Analyzer::rank_by_degradation`] as a what-if.
     pub fn record_fault_trace(
         &self,
         desc: &AppDescriptor,
         config: ExecutionConfig,
         schedule: &FaultSchedule,
         policy: RetryPolicy,
-    ) -> (RunReport, FaultTrace) {
-        let report = self.simulate_faulty(desc, config, schedule, policy);
-        let trace = FaultTrace::new(schedule.clone(), report.synthesized_faults.clone());
-        (report, trace)
-    }
-
-    /// [`Analyzer::simulate_resilient`] with the adaptive-repartitioning
-    /// controller in the loop — the full PR-3 pipeline:
-    ///
-    /// 1. the plan is built by a planner whose profiled rates are skewed
-    ///    by the schedule's `ProfilePerturb` windows open at time zero
-    ///    (the planner "profiled" the perturbed platform and baked the
-    ///    misprediction into the plan; execution runs at true rates);
-    /// 2. for static hybrid strategies the mispredicted
-    ///    [`hetero_runtime::AdaptPlan`] rides along so the controller can
-    ///    re-solve it against observed throughputs at taskwait barriers
-    ///    and, when re-solves are exhausted, escalate to the strategy's
-    ///    dynamic sibling (`Strategy::dynamic_sibling`, SP-* → DP-Perf).
-    ///
-    /// With [`AdaptConfig::disabled`] this reproduces the *mispredicted
-    /// baseline*: the same skewed plan executed with no mitigation.
-    pub fn simulate_adaptive(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        adapt: &AdaptConfig,
-    ) -> RunReport {
-        self.simulate_adaptive_observed(
-            desc,
-            config,
-            schedule,
+    ) -> Result<(RunReport, FaultTrace), JournalError> {
+        let spec = RunSpec {
             policy,
-            health,
-            adapt,
-            &mut hetero_runtime::NullObserver,
-        )
-    }
-
-    /// [`Analyzer::simulate_adaptive`] with a pluggable
-    /// [`hetero_runtime::Observer`] — the way to capture the adaptation
-    /// event stream ([`hetero_runtime::TraceEvent::StrategyEscalated`],
-    /// [`hetero_runtime::TraceEvent::StrategyReinstated`], ...) from the
-    /// full planner-in-the-loop pipeline. DP-Perf's warm-up pass runs
-    /// unobserved, as in [`Analyzer::simulate_resilient_observed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_adaptive_observed(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        adapt: &AdaptConfig,
-        obs: &mut dyn hetero_runtime::Observer,
-    ) -> RunReport {
-        use crate::strategy::Strategy;
-        use hetero_runtime::{
-            simulate_adaptive_observed, simulate_resilient, DepScheduler, PerfScheduler,
-            PinnedScheduler,
+            ..RunSpec::faulty(schedule.clone())
         };
-        let planner = self.misprediction_planner(schedule);
-        let plan = planner.plan(desc, config);
-        let platform = planner.platform;
-        match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_adaptive_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    schedule,
-                    policy,
-                    health,
-                    adapt,
-                    None,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                // Warm-up under the replayable form of the schedule, as in
-                // `simulate_resilient_observed` above.
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_adaptive_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    schedule,
-                    policy,
-                    health,
-                    adapt,
-                    None,
-                    obs,
-                )
-            }
-            _ => simulate_adaptive_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                schedule,
-                policy,
-                health,
-                adapt,
-                planner.adapt_plan(desc, config),
-                obs,
-            ),
-        }
-    }
-
-    /// [`Analyzer::simulate_adaptive`] with degraded-mode plan repair
-    /// armed: when a device dies past its retry budget or the circuit
-    /// breaker quarantines it, the executor re-solves the surviving device
-    /// set (N-way via the planner's [`hetero_runtime::MultiAdaptPlan`] on
-    /// multi-accelerator platforms) and rebinds the queued chunks
-    /// wave-aware, instead of leaning on naive chunk-by-chunk host
-    /// failover. See DESIGN.md §8.6.
-    ///
-    /// Returns [`ReplanError`] when the repair subsystem had to give up:
-    /// no surviving device, re-solve infeasible, or the
-    /// [`ReplanConfig::max_replans`] budget exhausted mid-run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_repairing(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        adapt: &AdaptConfig,
-        replan: &ReplanConfig,
-    ) -> Result<RunReport, ReplanError> {
-        self.simulate_repairing_observed(
-            desc,
-            config,
-            schedule,
-            policy,
-            health,
-            adapt,
-            replan,
-            &mut hetero_runtime::NullObserver,
-        )
-    }
-
-    /// [`Analyzer::simulate_repairing`] with a pluggable
-    /// [`hetero_runtime::Observer`] — the way to capture
-    /// [`hetero_runtime::TraceEvent::PlanRepaired`] /
-    /// [`hetero_runtime::TraceEvent::DeviceReadmitted`] streams from the
-    /// planner-in-the-loop pipeline. DP-Perf's warm-up pass runs
-    /// unobserved, as in [`Analyzer::simulate_resilient_observed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_repairing_observed(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        adapt: &AdaptConfig,
-        replan: &ReplanConfig,
-        obs: &mut dyn hetero_runtime::Observer,
-    ) -> Result<RunReport, ReplanError> {
-        use crate::strategy::Strategy;
-        use hetero_runtime::{
-            simulate_repairing_observed, simulate_resilient, DepScheduler, PerfScheduler,
-            PinnedScheduler,
-        };
-        let planner = self.misprediction_planner(schedule);
-        let plan = planner.plan(desc, config);
-        let platform = planner.platform;
-        let report = match config {
-            ExecutionConfig::Strategy(Strategy::DpDep) => {
-                let mut s = DepScheduler::new(platform);
-                simulate_repairing_observed(
-                    &plan.program,
-                    platform,
-                    &mut s,
-                    schedule,
-                    policy,
-                    health,
-                    adapt,
-                    None,
-                    replan,
-                    obs,
-                )
-            }
-            ExecutionConfig::Strategy(Strategy::DpPerf) => {
-                let warm_schedule = hetero_runtime::warmup_schedule(schedule);
-                let mut warm = PerfScheduler::new(platform);
-                let _ = simulate_resilient(
-                    &plan.program,
-                    platform,
-                    &mut warm,
-                    &warm_schedule,
-                    policy,
-                    health,
-                );
-                let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-                simulate_repairing_observed(
-                    &plan.program,
-                    platform,
-                    &mut measured,
-                    schedule,
-                    policy,
-                    health,
-                    adapt,
-                    None,
-                    replan,
-                    obs,
-                )
-            }
-            _ => simulate_repairing_observed(
-                &plan.program,
-                platform,
-                &mut PinnedScheduler,
-                schedule,
-                policy,
-                health,
-                adapt,
-                planner.adapt_plan(desc, config),
-                replan,
-                obs,
-            ),
-        };
-        match report.adapt.replan_error.clone() {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        let report = self.execute(desc, config, &spec, &mut NullObserver, None)?;
+        let schedule = spec.schedule.expect("a faulty spec carries its schedule");
+        let trace = FaultTrace::new(schedule, report.synthesized_faults.clone());
+        Ok((report, trace))
     }
 
     /// A planner that saw the perturbed platform while profiling: every
@@ -440,98 +105,40 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Replay the §IV comparison (both single-device baselines plus every
-    /// suitable strategy) healthy and under `schedule`, and return the
-    /// entries sorted by [`DegradationEntry::degradation`], most robust
-    /// first. Ties (and everything else) stay in Table I order, so the
-    /// ranking is deterministic.
+    /// suitable strategy) healthy and under `spec`, and return the entries
+    /// sorted by [`DegradationEntry::degradation`], most robust first.
+    /// Ties (and everything else) stay in Table I order, so the ranking is
+    /// deterministic.
+    ///
+    /// The mode decides the question asked: [`hetero_runtime::RunMode::Faulty`]
+    /// asks "which strategy loses the least when the platform fails?",
+    /// `Resilient` adds gray-failure mitigation to the loop, and
+    /// `Adaptive` applies the misprediction to every candidate's plan with
+    /// the controller fighting back. The healthy baseline is always the
+    /// faithful fault-free run, so degradation measures the full cost net
+    /// of whatever mitigation recovered.
     pub fn rank_by_degradation(
         &self,
         desc: &AppDescriptor,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-    ) -> Vec<DegradationEntry> {
-        self.rank_by_degradation_resilient(desc, schedule, policy, &HealthConfig::disabled())
-    }
-
-    /// [`Analyzer::rank_by_degradation`] with gray-failure mitigation in
-    /// the loop: every candidate replays under `schedule` *with* the
-    /// watchdog/verification/breaker configured by `health`, answering the
-    /// paper-level question "which partitioning strategy degrades most
-    /// gracefully when a device goes gray?" — and whether mitigation
-    /// changes the answer.
-    pub fn rank_by_degradation_resilient(
-        &self,
-        desc: &AppDescriptor,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-    ) -> Vec<DegradationEntry> {
-        let analysis = self.analyze(desc);
-        let configs: Vec<ExecutionConfig> = [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
+        spec: &RunSpec,
+    ) -> Result<Vec<DegradationEntry>, JournalError> {
+        let configs = self.analyze(desc).compared_configs();
+        let mut entries = configs
             .into_iter()
-            .chain(
-                analysis
-                    .ranking
-                    .iter()
-                    .map(|&s| ExecutionConfig::Strategy(s)),
-            )
-            .collect();
-        let mut entries: Vec<DegradationEntry> = configs
-            .into_iter()
-            .map(|config| DegradationEntry {
-                config,
-                healthy: self.simulate(desc, config),
-                faulty: self.simulate_resilient(desc, config, schedule, policy, health),
+            .map(|config| {
+                Ok(DegradationEntry {
+                    config,
+                    healthy: self.simulate(desc, config),
+                    faulty: self.execute(desc, config, spec, &mut NullObserver, None)?,
+                })
             })
-            .collect();
+            .collect::<Result<Vec<_>, JournalError>>()?;
         entries.sort_by(|a, b| {
             a.degradation()
                 .partial_cmp(&b.degradation())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        entries
-    }
-
-    /// [`Analyzer::rank_by_degradation_resilient`] with adaptive
-    /// repartitioning in the loop: every candidate replays under
-    /// `schedule` with the misprediction applied to its plan *and* the
-    /// controller configured by `adapt` — answering "which strategy loses
-    /// the least when the model is wrong, given the runtime may fight
-    /// back?". The healthy baseline stays the faithful (unskewed) plan, so
-    /// degradation measures the full cost of the misprediction net of
-    /// whatever the controller recovered.
-    pub fn rank_by_degradation_adaptive(
-        &self,
-        desc: &AppDescriptor,
-        schedule: &FaultSchedule,
-        policy: RetryPolicy,
-        health: &HealthConfig,
-        adapt: &AdaptConfig,
-    ) -> Vec<DegradationEntry> {
-        let analysis = self.analyze(desc);
-        let configs: Vec<ExecutionConfig> = [ExecutionConfig::OnlyGpu, ExecutionConfig::OnlyCpu]
-            .into_iter()
-            .chain(
-                analysis
-                    .ranking
-                    .iter()
-                    .map(|&s| ExecutionConfig::Strategy(s)),
-            )
-            .collect();
-        let mut entries: Vec<DegradationEntry> = configs
-            .into_iter()
-            .map(|config| DegradationEntry {
-                config,
-                healthy: self.simulate(desc, config),
-                faulty: self.simulate_adaptive(desc, config, schedule, policy, health, adapt),
-            })
-            .collect();
-        entries.sort_by(|a, b| {
-            a.degradation()
-                .partial_cmp(&b.degradation())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        entries
+        Ok(entries)
     }
 }
 
@@ -542,7 +149,7 @@ mod tests {
         AccessPattern, AppDescriptor, BufferSpec, ExecutionFlow, KernelSpec, SyncPolicy,
     };
     use hetero_platform::{DeviceId, Efficiency, KernelProfile, Platform, Precision, SimTime};
-    use hetero_runtime::AccessMode;
+    use hetero_runtime::{AccessMode, HealthConfig};
 
     fn app() -> AppDescriptor {
         let n = 1u64 << 18;
@@ -587,7 +194,9 @@ mod tests {
         let platform = Platform::test_small();
         let analyzer = Analyzer::new(&platform);
         let schedule = FaultSchedule::new(1);
-        let entries = analyzer.rank_by_degradation(&app(), &schedule, RetryPolicy::default());
+        let entries = analyzer
+            .rank_by_degradation(&app(), &RunSpec::faulty(schedule))
+            .unwrap();
         assert!(!entries.is_empty());
         for e in &entries {
             assert!(
@@ -611,24 +220,17 @@ mod tests {
             4.0,
             4.0,
         );
-        let plain = analyzer.rank_by_degradation(&app(), &schedule, RetryPolicy::default());
-        let mitigated = analyzer.rank_by_degradation_resilient(
-            &app(),
-            &schedule,
-            RetryPolicy::default(),
-            &HealthConfig::monitored(),
-        );
+        let plain = analyzer
+            .rank_by_degradation(&app(), &RunSpec::faulty(schedule.clone()))
+            .unwrap();
+        let resilient = RunSpec::resilient(schedule, HealthConfig::monitored());
+        let mitigated = analyzer.rank_by_degradation(&app(), &resilient).unwrap();
         assert_eq!(plain.len(), mitigated.len());
         // Only-CPU never touches the gray device either way.
         assert_eq!(plain[0].config, ExecutionConfig::OnlyCpu);
         assert_eq!(mitigated[0].config, ExecutionConfig::OnlyCpu);
         // The mitigated replay is deterministic.
-        let again = analyzer.rank_by_degradation_resilient(
-            &app(),
-            &schedule,
-            RetryPolicy::default(),
-            &HealthConfig::monitored(),
-        );
+        let again = analyzer.rank_by_degradation(&app(), &resilient).unwrap();
         for (a, b) in mitigated.iter().zip(&again) {
             assert_eq!(a.faulty.makespan, b.faulty.makespan);
         }
@@ -641,7 +243,9 @@ mod tests {
         // The GPU dies almost immediately: anything that leaned on it
         // degrades; Only-CPU never notices.
         let schedule = FaultSchedule::new(3).with_dropout(DeviceId(1), SimTime::from_micros(50));
-        let entries = analyzer.rank_by_degradation(&app(), &schedule, RetryPolicy::default());
+        let entries = analyzer
+            .rank_by_degradation(&app(), &RunSpec::faulty(schedule))
+            .unwrap();
         let best = &entries[0];
         assert_eq!(best.config, ExecutionConfig::OnlyCpu);
         assert!((best.degradation() - 1.0).abs() < 1e-9);

@@ -1,72 +1,31 @@
-//! Streaming simulation surfaces: run any [`RunSpec`] with a
-//! [`SnapshotObserver`] attached, getting a per-epoch delta-encoded
-//! metrics feed alongside the final report.
-//!
-//! These are the `Analyzer::simulate_*` variants behind
-//! `matchmake run --metrics-stream <path>`: one `EpochSnapshot` JSON line
-//! per committed taskwait barrier plus a final run-end line. The hard
-//! invariant (fuzz oracle 9, `stream-fold-equivalence`) is that
+//! Streaming per-epoch metrics: pass a [`SnapshotObserver`] to
+//! [`Analyzer::execute`](crate::Analyzer::execute) (any
+//! [`RunSpec`](hetero_runtime::RunSpec)) and get a per-epoch delta-encoded
+//! metrics feed alongside the final report — one `EpochSnapshot` JSON line
+//! per committed taskwait barrier plus a final run-end line, delivered live
+//! to a [`SnapshotObserver::with_sink`] callback. This is the feed behind
+//! `matchmake run --metrics-stream <path>`. The hard invariant (fuzz oracle
+//! 9, `stream-fold-equivalence`) is that
 //! [`fold_stream`](hetero_runtime::fold_stream) over the emitted lines
-//! reproduces the end-of-run [`MetricsRegistry`]
-//! (hetero_runtime::MetricsRegistry) byte-for-byte.
+//! reproduces the end-of-run
+//! [`MetricsRegistry`](hetero_runtime::MetricsRegistry) byte-for-byte.
 
-use crate::analyzer::Analyzer;
-use crate::descriptor::AppDescriptor;
-use crate::journal::RunSpec;
-use crate::strategy::ExecutionConfig;
-use hetero_runtime::{JournalError, JournalSink, RunReport, SnapshotObserver};
+#[cfg(doc)]
+use hetero_runtime::SnapshotObserver;
 
 /// The strategy label streamed snapshots are tagged with, matching the
 /// label `matchmake run`/`resume` use for journaled metrics exports.
 pub const STREAM_STRATEGY_LABEL: &str = "journaled";
 
-impl Analyzer<'_> {
-    /// Simulate `spec` with a streaming [`SnapshotObserver`] attached.
-    /// Returns the final report and the observer, whose
-    /// [`stream()`](SnapshotObserver::stream) holds one `EpochSnapshot`
-    /// JSON line per committed barrier (plus the run-end line) and whose
-    /// [`registry()`](SnapshotObserver::registry) holds the cumulative
-    /// end-of-run metrics.
-    pub fn simulate_streamed(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        spec: &RunSpec,
-    ) -> Result<(RunReport, SnapshotObserver), JournalError> {
-        let mut obs = SnapshotObserver::new(self.planner().platform, STREAM_STRATEGY_LABEL);
-        let mut sink = JournalSink::record();
-        let report = self.simulate_journaled_observed(desc, config, spec, &mut sink, &mut obs)?;
-        Ok((report, obs))
-    }
-
-    /// [`Analyzer::simulate_streamed`] with a live line sink: `sink` is
-    /// called with each snapshot line the moment its barrier commits,
-    /// before the run finishes — the live feed behind
-    /// `matchmake run --metrics-stream`.
-    pub fn simulate_streaming(
-        &self,
-        desc: &AppDescriptor,
-        config: ExecutionConfig,
-        spec: &RunSpec,
-        sink: impl FnMut(&str) + 'static,
-    ) -> Result<(RunReport, SnapshotObserver), JournalError> {
-        let mut obs =
-            SnapshotObserver::new(self.planner().platform, STREAM_STRATEGY_LABEL).with_sink(sink);
-        let mut journal = JournalSink::record();
-        let report =
-            self.simulate_journaled_observed(desc, config, spec, &mut journal, &mut obs)?;
-        Ok((report, obs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyzer::Analyzer;
     use crate::descriptor::tests_support::toy_descriptor;
-    use crate::descriptor::ExecutionFlow;
-    use crate::strategy::Strategy;
+    use crate::descriptor::{AppDescriptor, ExecutionFlow};
+    use crate::strategy::{ExecutionConfig, Strategy};
     use hetero_platform::{DeviceId, FaultSchedule, Platform, SimTime};
-    use hetero_runtime::fold_stream;
+    use hetero_runtime::{fold_stream, RunSpec, SnapshotObserver};
 
     fn desc() -> AppDescriptor {
         let mut d = toy_descriptor(2, ExecutionFlow::Sequence);
@@ -89,8 +48,9 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_millis(50),
         );
-        let (report, obs) = analyzer
-            .simulate_streamed(&desc(), config, &RunSpec::faulty(schedule))
+        let mut obs = SnapshotObserver::new(&platform, STREAM_STRATEGY_LABEL);
+        let report = analyzer
+            .execute(&desc(), config, &RunSpec::faulty(schedule), &mut obs, None)
             .expect("streamed run");
         assert!(!report.makespan.is_zero());
         assert!(obs.lines().len() >= 2, "per-epoch lines plus run-end line");
@@ -107,10 +67,12 @@ mod tests {
         let config = ExecutionConfig::Strategy(Strategy::SpVaried);
         let seen: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
         let tap = seen.clone();
-        let (_, obs) = analyzer
-            .simulate_streaming(&desc(), config, &RunSpec::plain(), move |line| {
+        let mut obs =
+            SnapshotObserver::new(&platform, STREAM_STRATEGY_LABEL).with_sink(move |line| {
                 tap.borrow_mut().push(line.to_string());
-            })
+            });
+        analyzer
+            .execute(&desc(), config, &RunSpec::plain(), &mut obs, None)
             .expect("streaming run");
         assert_eq!(*seen.borrow(), obs.lines());
     }

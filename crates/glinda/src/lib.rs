@@ -12,7 +12,7 @@
 //! the GPU so that both finish at the same moment?* It proceeds in three
 //! steps, mirrored by this crate's modules:
 //!
-//! 1. **Modeling** ([`problem`], [`solve`]) — the execution of a partition
+//! 1. **Modeling** ([`problem`], [`solve`](mod@solve)) — the execution of a partition
 //!    is modelled per device; the optimal split equalises CPU and GPU
 //!    completion times. The model is expressed through two derived metrics
 //!    ([`metrics`]): the *relative hardware capability* `R` (ratio of GPU

@@ -4,7 +4,7 @@
 //! Option `i` uses a lattice of `depth(i)` steps (longer-dated contracts
 //! get deeper trees), so its cost grows as `depth²` while its data
 //! footprint stays a constant 20 B in / 4 B out. This is the regime where
-//! Glinda's imbalanced split (ICS'14, the paper's reference [9]) clearly
+//! Glinda's imbalanced split (ICS'14, the paper's reference \[9\]) clearly
 //! beats splitting by option count: the prefix of shallow trees is cheap,
 //! and a count-based split starves one side.
 

@@ -1,4 +1,4 @@
-//! Seeded random instantiation of the [`synth`](crate::synth) generators —
+//! Seeded random instantiation of the [`synth`] generators —
 //! the application half of the scenario fuzzing harness (DESIGN.md §8.5).
 //!
 //! `matchmaker::fuzz` grows *structurally* random DAGs from scratch; this

@@ -2,7 +2,7 @@
 //!
 //! Used by the corpus (coverage study), by the MK-DAG experiments (the
 //! paper excludes MK-DAG from the static-vs-dynamic comparison but
-//! evaluates its two dynamic strategies in [20]), and by examples that need
+//! evaluates its two dynamic strategies in \[20\]), and by examples that need
 //! a configurable application without a real kernel body.
 
 use hetero_platform::{Efficiency, KernelProfile, Precision};

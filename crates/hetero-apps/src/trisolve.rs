@@ -2,7 +2,7 @@
 //!
 //! Demonstrates the ICS'14 Glinda extension ("Improving Performance by
 //! Matching Imbalanced Workloads with Heterogeneous Platforms", cited as
-//! the paper's reference [9]): row `i` of `out = L·x` costs `i+1`
+//! the paper's reference \[9\]): row `i` of `out = L·x` costs `i+1`
 //! multiply-adds — a triangular workload where splitting by item *count*
 //! misloads the devices and Glinda's split-by-*work* solver is needed.
 //!

@@ -47,8 +47,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration for the adaptive repartitioning controller. The disabled
-/// configuration ([`AdaptConfig::disabled`]) makes `simulate_adaptive`
-/// take the exact event sequence of the resilient executor.
+/// configuration ([`AdaptConfig::disabled`]) makes a
+/// [`crate::RunMode::Adaptive`] run take the exact event sequence of the
+/// [`crate::RunMode::Resilient`] run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AdaptConfig {
     /// Per-epoch busy-time skew `(max − min) / max` above which an epoch
@@ -263,9 +264,8 @@ impl Default for ReplanConfig {
 
 /// Why a survivor re-plan could not be produced. Recorded in
 /// [`AdaptReport::replan_error`] by the executor (which then degrades to
-/// chunk-by-chunk host failover) and propagated as a hard error by
-/// `Analyzer::simulate_repairing_observed` and `matchmake compare
-/// --replan`.
+/// chunk-by-chunk host failover), where `matchmake compare --replan`
+/// turns it into a hard error.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReplanError {
     /// Every device — host included — is dead or quarantined; there is no

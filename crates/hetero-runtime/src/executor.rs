@@ -20,9 +20,30 @@
 //! * a final implicit flush returns all results to the host — the paper's
 //!   "one device-to-host data transfer after the last kernel finishes".
 //!
+//! # Run modes
+//!
+//! [`execute`] is the one run entry. Its [`RunSpec`]'s [`RunMode`] decides
+//! which optional layers are active; each mode adds one layer to the mode
+//! before it, and with the added layer's config disabled a mode is exactly
+//! the mode before it, byte for byte. The analyzer
+//! (`matchmaker::Analyzer::execute`) adds the DP-Perf warm-up and the
+//! planner choice per mode:
+//!
+//! | Mode | Active layers | DP-Perf warm-up runs under | Analyzer planner |
+//! |---|---|---|---|
+//! | [`RunMode::Plain`] | none | `Plain` | the analyzer's own |
+//! | [`RunMode::Faulty`] | faults, retry, failover | `Faulty`, warm-up schedule | the analyzer's own |
+//! | [`RunMode::Resilient`] | + health (watchdog, verification, breaker) | `Resilient`, warm-up schedule | the analyzer's own |
+//! | [`RunMode::Adaptive`] | + adaptive repartitioning | `Resilient`, warm-up schedule | misprediction planner + adapt plan |
+//! | [`RunMode::Repairing`] | + degraded-mode plan repair | `Resilient`, warm-up schedule | misprediction planner + adapt plan |
+//!
+//! The warm-up schedule is [`crate::warmup_schedule`] (correlated
+//! triggering off, replayed synthesized windows stripped); see
+//! [`PerfScheduler::warmed`] and [`RunSpec::warmup`].
+//!
 //! # Resilient execution
 //!
-//! [`simulate_faulty`] runs the same model under a seeded
+//! [`RunMode::Faulty`] runs the same model under a seeded
 //! [`FaultSchedule`]:
 //!
 //! * **throttle ramps** multiply an attempt's execution time;
@@ -46,13 +67,13 @@
 //!
 //! # Gray-failure resilience
 //!
-//! [`simulate_resilient`] layers the [`crate::health`] subsystem on top:
+//! [`RunMode::Resilient`] layers the [`crate::health`] subsystem on top:
 //! a straggler *watchdog* that hedges slow attempts onto the best other
 //! device (first finisher wins), *duplicate-check* verification that
 //! catches silently corrupted epochs at their barrier and rolls them back
 //! to the checkpoint, and a per-device *circuit breaker* fed by an EWMA
 //! health score. With [`HealthConfig::disabled`] the resilient executor is
-//! exactly [`simulate_faulty`], byte for byte. Because attempt durations
+//! exactly the faulty one, byte for byte. Because attempt durations
 //! are sampled at dispatch, the watchdog is *prescient*: the fire event is
 //! armed up front exactly when the attempt will still be running at its
 //! deadline — semantically identical to a wall-clock watchdog. Two
@@ -63,14 +84,14 @@
 //!
 //! # Adaptive repartitioning
 //!
-//! [`simulate_adaptive`] layers the [`crate::adapt`] controller on top:
+//! [`RunMode::Adaptive`] layers the [`crate::adapt`] controller on top:
 //! at each taskwait barrier the per-device busy-time skew of the closing
 //! epoch is measured, a sustained imbalance re-solves the plan's Glinda
 //! partition against the *observed* throughputs and re-pins the remaining
 //! epochs' chunks, and when re-solves are exhausted the static plan
 //! escalates to an internal DP-Perf scheduler seeded with the run's own
 //! observations. With [`AdaptConfig::disabled`] the adaptive executor is
-//! exactly [`simulate_resilient`], byte for byte. Skew accounting is
+//! exactly the resilient one, byte for byte. Skew accounting is
 //! dispatch-based (a hedge win still attributes to the primary's
 //! dispatch), and a dropout or epoch rollback clears the open epoch's
 //! observation window — the detector is a heuristic over committed work,
@@ -81,13 +102,12 @@ use crate::coherence::CoherenceDir;
 use crate::graph::TaskGraph;
 use crate::health::{BreakerState, HealthConfig, HealthReport, QuarantineSpan, VerificationPolicy};
 use crate::journal::{EpochRecord, JournalError, JournalSink, RngCursors};
-use crate::obs::{
-    route_event, DeviceBreakdown, NullObserver, Observer, TimeBreakdown, TraceObserver,
-};
+use crate::obs::{route_event, DeviceBreakdown, NullObserver, Observer, TimeBreakdown};
 use crate::program::{KernelId, Program, TaskDesc, TaskId};
 use crate::scheduler::{BindCtx, PerfScheduler, RateObservation, Scheduler};
+use crate::spec::{RunMode, RunSpec};
 use crate::stats::{KernelStats, RunReport};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceEvent;
 use glinda::{MultiDeviceProblem, MultiSolution};
 use hetero_platform::{
     DeviceId, EventQueue, FaultCounters, FaultEvent, FaultRng, FaultSchedule, MemSpaceId, Platform,
@@ -166,104 +186,66 @@ enum Ev {
     },
 }
 
-/// Simulate `program` on `platform` under `scheduler`.
+/// Run `program` on `platform` under `scheduler` with the layers `spec`
+/// enables (see the module docs' mode table). This is the executor's one
+/// run entry; every other run function is a fixed spec passed through it.
+///
+/// * `plan` is the static partitioning decision behind the program, which
+///   the adaptive controller re-solves on imbalance. Programs without a
+///   static split pass `None` and can still escalate. It is read only in
+///   [`RunMode::Adaptive`] and up.
+/// * `obs` receives every executor event (see [`crate::obs`]). Observers
+///   are strictly observational: the run's virtual-time outcome is
+///   identical for any observer.
+/// * `journal`, when present, commits one [`EpochRecord`] per epoch flush
+///   and must have been opened with [`JournalSink::begin`]. A journaled
+///   run is byte-identical to its unjournaled twin: the sink observes
+///   commits, it never steers.
+///
+/// Returns [`JournalError::InvalidSpec`] when `spec` fails
+/// [`RunSpec::validate`] (checked before any event runs),
+/// [`JournalError::Killed`] when the sink's
+/// [`hetero_platform::KillSchedule`] fires (the journal text written so
+/// far is valid and resumable), and [`JournalError::DivergentReplay`] when
+/// a resumed run fails the byte-exact redo-replay validation. An
+/// unjournaled run of a valid spec never fails.
+pub fn execute(
+    program: &Program,
+    platform: &Platform,
+    scheduler: &mut dyn Scheduler,
+    spec: &RunSpec,
+    plan: Option<AdaptPlan>,
+    obs: &mut dyn Observer,
+    journal: Option<&mut JournalSink>,
+) -> Result<RunReport, JournalError> {
+    spec.validate()?;
+    Sim::new(program, platform, scheduler, spec, plan, obs, journal).run()
+}
+
+/// Simulate `program` on `platform` under `scheduler`: [`execute`] with
+/// [`RunSpec::plain`], unobserved and unjournaled.
 pub fn simulate(
     program: &Program,
     platform: &Platform,
     scheduler: &mut dyn Scheduler,
 ) -> RunReport {
-    simulate_observed(program, platform, scheduler, &mut NullObserver)
-}
-
-/// [`simulate`] with a pluggable [`Observer`] receiving every executor
-/// event (see [`crate::obs`]). Observers are strictly observational: the
-/// run's virtual-time outcome is identical for any observer.
-pub fn simulate_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    obs: &mut dyn Observer,
-) -> RunReport {
-    Sim::new(
-        program, platform, scheduler, obs, None, None, None, None, None,
-    )
-    .run()
-}
-
-/// [`simulate`], additionally recording an execution [`Trace`].
-pub fn simulate_traced(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_observed(program, platform, scheduler, &mut obs);
-    (report, obs.into_trace())
-}
-
-/// [`simulate`] under a seeded [`FaultSchedule`]: injects the scheduled
-/// faults and executes resiliently under `policy` (see the module docs).
-/// Identical schedules (same seed, same events) replay identical runs.
-pub fn simulate_faulty(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-) -> RunReport {
-    simulate_faulty_observed(
+    let spec = RunSpec::plain();
+    execute(
         program,
         platform,
         scheduler,
-        schedule,
-        policy,
+        &spec,
+        None,
         &mut NullObserver,
-    )
-}
-
-/// [`simulate_faulty`] with a pluggable [`Observer`] (see [`crate::obs`]).
-pub fn simulate_faulty_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    obs: &mut dyn Observer,
-) -> RunReport {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
-        obs,
-        Some((schedule, policy)),
-        None,
-        None,
-        None,
         None,
     )
-    .run()
+    .expect("a plain unjournaled run cannot fail")
 }
 
-/// [`simulate_faulty`], additionally recording an execution [`Trace`] with
-/// the fault events ([`TraceEvent::TaskFault`], [`TraceEvent::Failover`],
-/// ...).
-pub fn simulate_faulty_traced(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_faulty_observed(program, platform, scheduler, schedule, policy, &mut obs);
-    (report, obs.into_trace())
-}
-
-/// [`simulate_faulty`] with the gray-failure resilience subsystem
-/// configured by `health` (see [`crate::health`]): the straggler watchdog
-/// with hedged duplicates, duplicate-check SDC verification with epoch
-/// rollback, and the device-health circuit breaker. With
-/// [`HealthConfig::disabled`] this is exactly [`simulate_faulty`].
+/// [`execute`] in [`RunMode::Resilient`] under `schedule`, `policy` and
+/// `health`, unobserved and unjournaled. With [`HealthConfig::disabled`]
+/// this is exactly the [`RunMode::Faulty`] run. Panics on an invalid
+/// schedule or health config.
 pub fn simulate_resilient(
     program: &Program,
     platform: &Platform,
@@ -272,262 +254,47 @@ pub fn simulate_resilient(
     policy: RetryPolicy,
     health: &HealthConfig,
 ) -> RunReport {
-    simulate_resilient_observed(
-        program,
-        platform,
-        scheduler,
-        schedule,
+    let spec = RunSpec {
         policy,
-        health,
+        ..RunSpec::resilient(schedule.clone(), *health)
+    };
+    execute(
+        program,
+        platform,
+        scheduler,
+        &spec,
+        None,
         &mut NullObserver,
-    )
-}
-
-/// [`simulate_resilient`] with a pluggable [`Observer`] (see
-/// [`crate::obs`]).
-pub fn simulate_resilient_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    obs: &mut dyn Observer,
-) -> RunReport {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
-        obs,
-        Some((schedule, policy)),
-        Some(*health),
-        None,
-        None,
         None,
     )
-    .run()
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`simulate_resilient`], additionally recording an execution [`Trace`]
-/// with the gray-failure events ([`TraceEvent::HedgeLaunched`],
-/// [`TraceEvent::CorruptionDetected`], [`TraceEvent::CircuitOpen`], ...).
-pub fn simulate_resilient_traced(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_resilient_observed(
-        program, platform, scheduler, schedule, policy, health, &mut obs,
-    );
-    (report, obs.into_trace())
-}
-
-/// [`simulate_resilient`] with the adaptive repartitioning controller
-/// configured by `adapt` (see [`crate::adapt`]): per-epoch imbalance
-/// detection, Glinda re-solving against observed throughputs, and
-/// static → dynamic strategy escalation. `plan` carries the static
-/// partitioning decision behind the program (when there is one) so the
-/// controller can re-solve it; programs without a static split pass
-/// `None` and can still escalate. With [`AdaptConfig::disabled`] this is
-/// exactly [`simulate_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_adaptive(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-) -> RunReport {
-    simulate_adaptive_observed(
-        program,
-        platform,
-        scheduler,
-        schedule,
-        policy,
-        health,
-        adapt,
-        plan,
-        &mut NullObserver,
-    )
-}
-
-/// [`simulate_adaptive`] with a pluggable [`Observer`] (see
-/// [`crate::obs`]).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_adaptive_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-    obs: &mut dyn Observer,
-) -> RunReport {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
-        obs,
-        Some((schedule, policy)),
-        Some(*health),
-        Some((*adapt, plan)),
-        None,
-        None,
-    )
-    .run()
-}
-
-/// [`simulate_adaptive`], additionally recording an execution [`Trace`]
-/// with the adaptation events ([`TraceEvent::ImbalanceDetected`],
-/// [`TraceEvent::Repartitioned`], [`TraceEvent::StrategyEscalated`]).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_adaptive_traced(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_adaptive_observed(
-        program, platform, scheduler, schedule, policy, health, adapt, plan, &mut obs,
-    );
-    (report, obs.into_trace())
-}
-
-/// [`simulate_adaptive`] with the degraded-mode plan-repair subsystem
-/// configured by `replan` (see [`ReplanConfig`]): when a device dies past
-/// its retry budget or the circuit breaker quarantines it, the executor
-/// re-solves every not-yet-checkpointed epoch over the surviving device
-/// set at observed rates and rebinds the queued chunks wave-aware, with
-/// migrations priced by the nominal link; when a breaker recloses, a
-/// symmetric *healing* re-plan readmits the device. Both run behind the
-/// controller's strict no-regression guard and are bounded by
-/// [`ReplanConfig::max_replans`]. With [`ReplanConfig::disabled`] this is
-/// exactly [`simulate_adaptive`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_repairing(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-    replan: &ReplanConfig,
-) -> RunReport {
-    simulate_repairing_observed(
-        program,
-        platform,
-        scheduler,
-        schedule,
-        policy,
-        health,
-        adapt,
-        plan,
-        replan,
-        &mut NullObserver,
-    )
-}
-
-/// [`simulate_repairing`] with a pluggable [`Observer`] (see
-/// [`crate::obs`]).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_repairing_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-    replan: &ReplanConfig,
-    obs: &mut dyn Observer,
-) -> RunReport {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
-        obs,
-        Some((schedule, policy)),
-        Some(*health),
-        Some((*adapt, plan)),
-        Some(*replan),
-        None,
-    )
-    .run()
-}
-
-/// [`simulate_repairing`], additionally recording an execution [`Trace`]
-/// with the repair events ([`TraceEvent::PlanRepaired`],
-/// [`TraceEvent::DeviceReadmitted`]).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_repairing_traced(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    schedule: &FaultSchedule,
-    policy: RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-    plan: Option<AdaptPlan>,
-    replan: &ReplanConfig,
-) -> (RunReport, Trace) {
-    let mut obs = TraceObserver::new();
-    let report = simulate_repairing_observed(
-        program, platform, scheduler, schedule, policy, health, adapt, plan, replan, &mut obs,
-    );
-    (report, obs.into_trace())
-}
-
-/// The journaled executor entry: any of the five simulate paths (pass
-/// `None` for the layers the run does not use, exactly as the un-journaled
-/// wrappers do), with a [`JournalSink`] committing one [`EpochRecord`] per
-/// epoch flush. The sink must have been opened with
-/// [`JournalSink::begin`]. Returns [`JournalError::Killed`] when the
-/// sink's [`hetero_platform::KillSchedule`] fires (the journal text
-/// written so far is valid and resumable), and
-/// [`JournalError::DivergentReplay`] when a resumed run fails the
-/// byte-exact redo-replay validation. A journaled run is byte-identical
-/// to its un-journaled twin: the sink observes commits, it never steers.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_journaled_observed(
-    program: &Program,
-    platform: &Platform,
-    scheduler: &mut dyn Scheduler,
-    faults: Option<(&FaultSchedule, RetryPolicy)>,
-    health: Option<HealthConfig>,
-    adapt: Option<(AdaptConfig, Option<AdaptPlan>)>,
-    replan: Option<ReplanConfig>,
-    journal: &mut JournalSink,
-    obs: &mut dyn Observer,
-) -> Result<RunReport, JournalError> {
-    Sim::new(
-        program,
-        platform,
-        scheduler,
-        obs,
-        faults,
-        health,
-        adapt,
-        replan,
-        Some(journal),
-    )
-    .run_result()
+impl PerfScheduler {
+    /// DP-Perf after the paper's profiling warm-up: one unobserved,
+    /// unjournaled run under [`RunSpec::warmup`] learns the rates (3
+    /// instances per kernel per device), and the returned scheduler starts
+    /// the measured run from them, so profiling stays out of the measured
+    /// numbers. The warm-up is a pure function of the program, platform and
+    /// spec, so a resumed run regenerates it.
+    pub fn warmed(
+        program: &Program,
+        platform: &Platform,
+        spec: &RunSpec,
+    ) -> Result<Self, JournalError> {
+        let mut warm = PerfScheduler::new(platform);
+        let warmup = spec.warmup();
+        execute(
+            program,
+            platform,
+            &mut warm,
+            &warmup,
+            None,
+            &mut NullObserver,
+            None,
+        )?;
+        Ok(PerfScheduler::seeded(platform, warm.rates().clone()))
+    }
 }
 
 /// Mutable fault-injection state, present only on the faulty path.
@@ -713,7 +480,7 @@ struct AdaptCtx {
 }
 
 /// Mutable plan-repair state, present only when an enabled
-/// [`ReplanConfig`] was supplied (see [`simulate_repairing`]).
+/// [`ReplanConfig`] was supplied (see [`RunMode::Repairing`]).
 struct ReplanCtx {
     config: ReplanConfig,
     /// Tie-break stream, independent of the fault/health/adapt streams.
@@ -833,16 +600,14 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// A run of `spec`'s layers; `spec` has passed [`RunSpec::validate`].
     fn new(
         program: &'a Program,
         platform: &'a Platform,
         scheduler: &'a mut dyn Scheduler,
+        spec: &'a RunSpec,
+        plan: Option<AdaptPlan>,
         obs: &'a mut dyn Observer,
-        faults: Option<(&'a FaultSchedule, RetryPolicy)>,
-        health: Option<HealthConfig>,
-        adapt: Option<(AdaptConfig, Option<AdaptPlan>)>,
-        replan: Option<ReplanConfig>,
         journal: Option<&'a mut JournalSink>,
     ) -> Self {
         let graph = TaskGraph::build(program);
@@ -858,45 +623,37 @@ impl<'a> Sim<'a> {
                 tasks_per_device: vec![0; platform.devices.len()],
             })
             .collect();
-        let faults = faults.map(|(schedule, policy)| {
-            schedule
-                .validate()
-                .unwrap_or_else(|e| panic!("invalid fault schedule: {e}"));
-            FaultCtx {
-                schedule,
-                policy,
-                rng: schedule.rng(),
-                counters: FaultCounters::default(),
-                dead: vec![false; platform.devices.len()],
-                gen: vec![0; n],
-                failed_over: vec![false; n],
-                suppress_complete: vec![false; n],
-                in_flight: vec![false; n],
-                started_at: vec![SimTime::ZERO; n],
-                recorded: vec![false; n],
-                booked_loss: vec![SimTime::ZERO; n],
-                corrupt: vec![false; n],
-                corruptions_injected: 0,
-                suppress_corruption: false,
-                synth: Vec::new(),
-                corr_rng: schedule
-                    .has_correlation()
-                    .then(|| FaultRng::new(schedule.seed ^ CORRELATED_STREAM)),
-            }
+        let mode = spec.mode;
+        let schedule = spec.schedule.as_ref().filter(|_| mode >= RunMode::Faulty);
+        let faults = schedule.map(|schedule| FaultCtx {
+            schedule,
+            policy: spec.policy,
+            rng: schedule.rng(),
+            counters: FaultCounters::default(),
+            dead: vec![false; platform.devices.len()],
+            gen: vec![0; n],
+            failed_over: vec![false; n],
+            suppress_complete: vec![false; n],
+            in_flight: vec![false; n],
+            started_at: vec![SimTime::ZERO; n],
+            recorded: vec![false; n],
+            booked_loss: vec![SimTime::ZERO; n],
+            corrupt: vec![false; n],
+            corruptions_injected: 0,
+            suppress_corruption: false,
+            synth: Vec::new(),
+            corr_rng: schedule
+                .has_correlation()
+                .then(|| FaultRng::new(schedule.seed ^ CORRELATED_STREAM)),
         });
+        let seed = schedule.map_or(0, |s| s.seed);
         let ndev = platform.devices.len();
-        let health = health
-            .inspect(|config| {
-                config
-                    .validate()
-                    .unwrap_or_else(|e| panic!("invalid health config: {e}"));
-            })
+        let health = (mode >= RunMode::Resilient)
+            .then_some(spec.health)
             .filter(HealthConfig::enabled)
             .map(|config| HealthCtx {
                 config,
-                rng: FaultRng::new(
-                    faults.as_ref().map(|f| f.schedule.seed).unwrap_or(0) ^ HEALTH_STREAM,
-                ),
+                rng: FaultRng::new(seed ^ HEALTH_STREAM),
                 report: HealthReport {
                     scores: vec![1.0; ndev],
                     ..HealthReport::default()
@@ -908,19 +665,13 @@ impl<'a> Sim<'a> {
                 hedge: vec![None; n],
                 rollbacks_this_epoch: 0,
             });
-        let adapt = adapt
-            .inspect(|(config, _)| {
-                config
-                    .validate()
-                    .unwrap_or_else(|e| panic!("invalid adapt config: {e}"));
-            })
-            .filter(|(config, _)| config.enabled())
-            .map(|(config, plan)| AdaptCtx {
+        let adapt = (mode >= RunMode::Adaptive)
+            .then_some(spec.adapt)
+            .filter(AdaptConfig::enabled)
+            .map(|config| AdaptCtx {
                 config,
                 plan,
-                rng: FaultRng::new(
-                    faults.as_ref().map(|f| f.schedule.seed).unwrap_or(0) ^ ADAPT_STREAM,
-                ),
+                rng: FaultRng::new(seed ^ ADAPT_STREAM),
                 report: AdaptReport::default(),
                 epoch_busy: vec![SimTime::ZERO; ndev],
                 epoch_items: vec![0; ndev],
@@ -933,18 +684,12 @@ impl<'a> Sim<'a> {
                 calm_barriers: 0,
                 last_barrier_at: SimTime::ZERO,
             });
-        let replan = replan
-            .inspect(|config| {
-                config
-                    .validate()
-                    .unwrap_or_else(|e| panic!("invalid replan config: {e}"));
-            })
+        let replan = (mode == RunMode::Repairing)
+            .then_some(spec.replan)
             .filter(ReplanConfig::enabled)
             .map(|config| ReplanCtx {
                 config,
-                rng: FaultRng::new(
-                    faults.as_ref().map(|f| f.schedule.seed).unwrap_or(0) ^ REPLAN_STREAM,
-                ),
+                rng: FaultRng::new(seed ^ REPLAN_STREAM),
                 replans: 0,
                 readmissions: 0,
                 error: None,
@@ -1018,12 +763,7 @@ impl<'a> Sim<'a> {
         b.replan = b.replan.saturating_sub(c.replan);
     }
 
-    fn run(self) -> RunReport {
-        self.run_result()
-            .unwrap_or_else(|e| panic!("unjournaled run cannot fail: {e}"))
-    }
-
-    fn run_result(mut self) -> Result<RunReport, JournalError> {
+    fn run(mut self) -> Result<RunReport, JournalError> {
         if self.epochs.is_empty() || self.tasks.is_empty() {
             return Ok(self.finish());
         }
@@ -3488,7 +3228,7 @@ impl<'a> Sim<'a> {
         (moves, moved_items)
     }
 
-    /// Degraded-mode plan repair (see [`simulate_repairing`]): re-solve
+    /// Degraded-mode plan repair (see [`RunMode::Repairing`]): re-solve
     /// the not-yet-checkpointed epochs over the surviving device set and
     /// rebind the queued chunks. `heal` marks a healing re-plan after a
     /// breaker reclose (the readmitted `dev` is a survivor again);

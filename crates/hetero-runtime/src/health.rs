@@ -111,8 +111,9 @@ impl Default for BreakerConfig {
 }
 
 /// Configuration for the gray-failure resilience subsystem. The disabled
-/// configuration ([`HealthConfig::disabled`]) makes `simulate_resilient`
-/// take the exact event sequence of PR 1's `simulate_faulty`.
+/// configuration ([`HealthConfig::disabled`]) makes a
+/// [`crate::RunMode::Resilient`] run take the exact event sequence of the
+/// [`crate::RunMode::Faulty`] run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HealthConfig {
     /// Straggler watchdog (`None` = off).

@@ -286,6 +286,13 @@ pub enum JournalError {
         /// Simulated time of death.
         at: SimTime,
     },
+    /// A run spec that cannot execute: a faulty mode without a schedule,
+    /// or an out-of-range schedule, health, adapt or replan config (see
+    /// [`crate::RunSpec::validate`]).
+    InvalidSpec {
+        /// What is wrong, rendered.
+        reason: String,
+    },
     /// An I/O failure reading or writing the journal file (CLI layer).
     Io(String),
 }
@@ -338,6 +345,7 @@ impl std::fmt::Display for JournalError {
                     "killed by the kill schedule after {records} journal record(s) at {at}"
                 )
             }
+            JournalError::InvalidSpec { reason } => write!(f, "invalid run spec: {reason}"),
             JournalError::Io(msg) => write!(f, "journal I/O: {msg}"),
         }
     }

@@ -19,9 +19,21 @@
 //!   (**DP-Dep**, breadth-first + dependency-chain affinity) and
 //!   [`PerfScheduler`] (**DP-Perf**, performance-aware earliest-finisher with a
 //!   profiling warm-up);
-//! * [`simulate`] executes a program in deterministic virtual time over a
+//! * [`execute`] runs a program in deterministic virtual time over a
 //!   `hetero_platform::Platform` and reports makespan, partitioning ratios,
-//!   transfer volumes and scheduling overhead;
+//!   transfer volumes and scheduling overhead. Its [`RunSpec`] picks the
+//!   optional layers, one more per [`RunMode`]:
+//!
+//!   | Mode | Active layers | DP-Perf warm-up runs under | Analyzer planner |
+//!   |---|---|---|---|
+//!   | `Plain` | none | `Plain` | the analyzer's own |
+//!   | `Faulty` | faults, retry, failover | `Faulty`, [`warmup_schedule`] | the analyzer's own |
+//!   | `Resilient` | + [`health`] | `Resilient`, [`warmup_schedule`] | the analyzer's own |
+//!   | `Adaptive` | + [`adapt`] repartitioning | `Resilient`, [`warmup_schedule`] | misprediction planner + adapt plan |
+//!   | `Repairing` | + plan repair ([`ReplanConfig`]) | `Resilient`, [`warmup_schedule`] | misprediction planner + adapt plan |
+//!
+//!   [`simulate`], [`simulate_resilient`] and [`simulate_dp_perf_warmed`]
+//!   are fixed specs passed through it;
 //! * [`native`] executes the program's real computation on host data to
 //!   validate that partitioning is semantically correct.
 //!
@@ -57,6 +69,7 @@ pub mod native;
 pub mod obs;
 pub mod program;
 pub mod scheduler;
+pub mod spec;
 pub mod stats;
 pub mod trace;
 
@@ -66,13 +79,8 @@ pub use adapt::{
 pub use coherence::{CoherenceDir, Transfer};
 pub use data::{Access, AccessMode, BufferDesc, BufferId, Region};
 pub use executor::{
-    simulate, simulate_adaptive, simulate_adaptive_observed, simulate_adaptive_traced,
-    simulate_faulty, simulate_faulty_observed, simulate_faulty_traced, simulate_observed,
-    simulate_repairing, simulate_repairing_observed, simulate_repairing_traced, simulate_resilient,
-    simulate_resilient_observed, simulate_resilient_traced, simulate_traced,
-};
-pub use executor::{
-    simulate_journaled_observed, ADAPT_STREAM, CORRELATED_STREAM, HEALTH_STREAM, REPLAN_STREAM,
+    execute, simulate, simulate_resilient, ADAPT_STREAM, CORRELATED_STREAM, HEALTH_STREAM,
+    REPLAN_STREAM,
 };
 pub use fuzz::{check_blame_identity, check_identical, report_digest, OracleKind, OracleViolation};
 pub use graph::TaskGraph;
@@ -99,122 +107,23 @@ pub use scheduler::{
     BindCtx, DepScheduler, PerfScheduler, PinnedScheduler, RateObservation, Scheduler,
     WorkConservingScheduler,
 };
+pub use spec::{warmup_schedule, RunMode, RunSpec};
 pub use stats::{KernelStats, RunReport};
 pub use trace::{Trace, TraceEvent, DEFAULT_GANTT_WIDTH};
 
 /// Run a program under DP-Perf with the paper's methodology: a warm-up run
 /// performs the profiling phase (3 instances per kernel per device), then
 /// the measured run starts from the learned rates with profiling excluded
-/// from the reported numbers.
+/// from the reported numbers (see [`PerfScheduler::warmed`]).
 pub fn simulate_dp_perf_warmed(
     program: &Program,
     platform: &hetero_platform::Platform,
 ) -> RunReport {
-    let mut warm = PerfScheduler::new(platform);
-    let _ = simulate(program, platform, &mut warm);
-    let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-    simulate(program, platform, &mut measured)
-}
-
-/// [`simulate_dp_perf_warmed`] with an [`Observer`] installed on the
-/// *measured* run. The warm-up run is unobserved (it exists only to learn
-/// rates and is excluded from reported numbers), so an attached metrics
-/// sink sees exactly the run the report describes.
-pub fn simulate_dp_perf_warmed_observed(
-    program: &Program,
-    platform: &hetero_platform::Platform,
-    obs: &mut dyn Observer,
-) -> RunReport {
-    let mut warm = PerfScheduler::new(platform);
-    let _ = simulate(program, platform, &mut warm);
-    let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-    simulate_observed(program, platform, &mut measured, obs)
-}
-
-/// The schedule the DP-Perf warm-up pass runs under: the base events with
-/// correlated triggering disabled and any replayed synthesized windows
-/// stripped. The warm-up exists only to learn rates, and its synthesized
-/// windows are not part of the recorded [`hetero_platform::FaultTrace`]
-/// (only the measured run's are) — letting it trigger live would make the
-/// learned rates, and therefore the whole run, impossible to replay. With
-/// this form the warm-up is a pure function of the base schedule, so a
-/// recorded run and its replay learn identical rates.
-pub fn warmup_schedule(
-    schedule: &hetero_platform::FaultSchedule,
-) -> hetero_platform::FaultSchedule {
-    let mut w = schedule.clone();
-    if let Some(n) = w.synthesized_after.take() {
-        w.events.truncate(n);
-    }
-    for d in &mut w.domains {
-        d.trigger_prob = 0.0;
-    }
-    w
-}
-
-/// [`simulate_dp_perf_warmed`] under a fault schedule: both the warm-up and
-/// the measured run execute under `schedule`, so the learned rates reflect
-/// the platform *as it misbehaves* — this is what lets DP-Perf adapt its
-/// partitioning to a throttled or flaky device. The warm-up runs with
-/// correlated triggering disabled (see [`warmup_schedule`]); only the
-/// measured run propagates domain faults.
-pub fn simulate_dp_perf_warmed_faulty(
-    program: &Program,
-    platform: &hetero_platform::Platform,
-    schedule: &hetero_platform::FaultSchedule,
-    policy: hetero_platform::RetryPolicy,
-) -> RunReport {
-    let warm_schedule = warmup_schedule(schedule);
-    let mut warm = PerfScheduler::new(platform);
-    let _ = simulate_faulty(program, platform, &mut warm, &warm_schedule, policy);
-    let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-    simulate_faulty(program, platform, &mut measured, schedule, policy)
-}
-
-/// [`simulate_dp_perf_warmed_faulty`] with gray-failure mitigation enabled:
-/// both the warm-up and the measured run execute under `schedule` *and*
-/// `health`, so the learned rates and the watchdog/breaker see the same
-/// misbehaving platform.
-pub fn simulate_dp_perf_warmed_resilient(
-    program: &Program,
-    platform: &hetero_platform::Platform,
-    schedule: &hetero_platform::FaultSchedule,
-    policy: hetero_platform::RetryPolicy,
-    health: &HealthConfig,
-) -> RunReport {
-    let warm_schedule = warmup_schedule(schedule);
-    let mut warm = PerfScheduler::new(platform);
-    let _ = simulate_resilient(program, platform, &mut warm, &warm_schedule, policy, health);
-    let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-    simulate_resilient(program, platform, &mut measured, schedule, policy, health)
-}
-
-/// [`simulate_dp_perf_warmed_resilient`] with the adaptive-repartitioning
-/// controller active in the measured run. DP-Perf has no static plan to
-/// re-solve (the `AdaptPlan` is `None`): the controller observes skew and
-/// can at most "escalate" to a DP-Perf re-seeded from live observations —
-/// the interesting comparison is against the static strategies, whose
-/// plans it can actually correct.
-pub fn simulate_dp_perf_warmed_adaptive(
-    program: &Program,
-    platform: &hetero_platform::Platform,
-    schedule: &hetero_platform::FaultSchedule,
-    policy: hetero_platform::RetryPolicy,
-    health: &HealthConfig,
-    adapt: &AdaptConfig,
-) -> RunReport {
-    let warm_schedule = warmup_schedule(schedule);
-    let mut warm = PerfScheduler::new(platform);
-    let _ = simulate_resilient(program, platform, &mut warm, &warm_schedule, policy, health);
-    let mut measured = PerfScheduler::seeded(platform, warm.rates().clone());
-    simulate_adaptive(
+    let spec = RunSpec::plain();
+    let warmed = PerfScheduler::warmed(program, platform, &spec);
+    simulate(
         program,
         platform,
-        &mut measured,
-        schedule,
-        policy,
-        health,
-        adapt,
-        None,
+        &mut warmed.expect("a plain warm-up cannot fail"),
     )
 }

@@ -16,8 +16,10 @@
 //! tolerance as `Regressed` (counts changing under a supposedly identical
 //! configuration is a determinism regression, not progress). The engine
 //! backs `matchmake diff <a.json> <b.json> [--tolerance pct]`, which exits
-//! non-zero when [`RunDiff::has_regressions`] — CI gates every bench file
-//! and determinism example on it.
+//! 1 when [`RunDiff::has_regressions`] and 4 when the only finding is
+//! series missing from B ([`RunDiff::has_missing`]) — a renamed or dropped
+//! series is a coverage gap, not a measured slowdown, so the two are
+//! reported apart.
 
 use super::metrics::MetricsRegistry;
 use serde::{Deserialize, Serialize};
@@ -221,11 +223,14 @@ impl RunDiff {
         })
     }
 
-    /// True when any series regressed or went missing.
+    /// True when any series present on both sides regressed.
     pub fn has_regressions(&self) -> bool {
-        self.entries
-            .iter()
-            .any(|e| matches!(e.verdict, DiffVerdict::Regressed | DiffVerdict::Missing))
+        self.count(DiffVerdict::Regressed) > 0
+    }
+
+    /// True when any baseline series is absent from the candidate.
+    pub fn has_missing(&self) -> bool {
+        self.count(DiffVerdict::Missing) > 0
     }
 
     /// Count entries with the given verdict.
@@ -369,7 +374,17 @@ mod tests {
             .find(|e| e.name.starts_with("hm_retries_total"))
             .unwrap();
         assert_eq!(retries.verdict, DiffVerdict::Missing);
+        // A missing series is reported apart from regressions.
+        assert!(!diff.has_regressions());
+        assert!(diff.has_missing());
+        // A regression beyond tolerance is still one, missing or not.
+        let diff = RunDiff::between(&a.to_json(), &b.to_json(), 1.0).unwrap();
         assert!(diff.has_regressions());
+        assert!(diff.has_missing());
+        // And the same series on both sides is neither.
+        let same = RunDiff::between(&a.to_json(), &a.to_json(), 0.0).unwrap();
+        assert!(!same.has_regressions());
+        assert!(!same.has_missing());
     }
 
     #[test]

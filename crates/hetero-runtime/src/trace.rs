@@ -1,7 +1,7 @@
 //! Execution traces: what happened when, on which device.
 //!
-//! [`crate::executor::simulate_traced`] records a [`Trace`] alongside the
-//! run report: per-instance start/end times and placements, every data
+//! A [`crate::TraceObserver`] passed to [`crate::execute`] records a
+//! [`Trace`] alongside the run report: per-instance start/end times and placements, every data
 //! transfer, and the taskwait flush windows. Traces power debugging, the
 //! timeline example, and tests that assert *when* things happened rather
 //! than only aggregate counters.

@@ -334,7 +334,11 @@ fn traced_run_matches_untraced_report() {
     };
     let (traced, trace) = {
         let mut s = hetero_runtime::DepScheduler::new(&platform);
-        hetero_runtime::simulate_traced(&p, &platform, &mut s)
+        let mut obs = hetero_runtime::TraceObserver::new();
+        let spec = hetero_runtime::RunSpec::plain();
+        let report =
+            hetero_runtime::execute(&p, &platform, &mut s, &spec, None, &mut obs, None).unwrap();
+        (report, obs.into_trace())
     };
     assert_eq!(plain.makespan, traced.makespan);
     assert_eq!(plain.counters, traced.counters);

@@ -22,9 +22,11 @@
 //! ```
 
 use hetero_match::apps::synth;
-use hetero_match::matchmaker::{Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, Strategy};
-use hetero_match::platform::{DeviceId, FaultSchedule, Platform, RetryPolicy, SimTime};
-use hetero_match::runtime::{AdaptConfig, HealthConfig};
+use hetero_match::matchmaker::{
+    Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, RunSpec, Strategy,
+};
+use hetero_match::platform::{DeviceId, FaultSchedule, Platform, SimTime};
+use hetero_match::runtime::{AdaptConfig, HealthConfig, NullObserver};
 
 /// SK-Loop: 8 iterations of a compute-heavy kernel with a taskwait between
 /// iterations — 8 barriers for the controller to observe and correct at.
@@ -43,8 +45,12 @@ fn main() {
     let analyzer = Analyzer::new(&platform);
     let desc = app();
     let config = ExecutionConfig::Strategy(Strategy::SpSingle);
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
+    let run = |spec: &RunSpec| {
+        analyzer
+            .execute(&desc, config, spec, &mut NullObserver, None)
+            .expect("valid spec")
+    };
 
     // --- 1. Mispredicted profile: detect + re-solve ----------------------
     // The planner profiled the GPU at half its true throughput; the
@@ -52,23 +58,17 @@ fn main() {
     // while the CPU grinds. Execution itself is untouched.
     let halved =
         FaultSchedule::new(42).with_profile_perturb(DeviceId(1), 0.5, SimTime::ZERO, SimTime::MAX);
-    let oracle = analyzer.simulate_resilient(&desc, config, &halved, policy, &health);
-    let mispredicted = analyzer.simulate_adaptive(
-        &desc,
-        config,
-        &halved,
-        policy,
-        &health,
-        &AdaptConfig::disabled(),
-    );
-    let adaptive = analyzer.simulate_adaptive(
-        &desc,
-        config,
-        &halved,
-        policy,
-        &health,
-        &AdaptConfig::enabled_default(),
-    );
+    let oracle = run(&RunSpec::resilient(halved.clone(), health));
+    let mispredicted = run(&RunSpec::adaptive(
+        halved.clone(),
+        health,
+        AdaptConfig::disabled(),
+    ));
+    let adaptive = run(&RunSpec::adaptive(
+        halved.clone(),
+        health,
+        AdaptConfig::enabled_default(),
+    ));
     let gap = mispredicted.makespan.as_secs_f64() - oracle.makespan.as_secs_f64();
     let recovered = mispredicted.makespan.as_secs_f64() - adaptive.makespan.as_secs_f64();
     println!("1. planner saw the GPU at half speed (SP-Single, 8 epochs):");
@@ -100,7 +100,7 @@ fn main() {
         max_resolves: 1,
         ..AdaptConfig::enabled_default()
     };
-    let escalated = analyzer.simulate_adaptive(&desc, config, &halved, policy, &health, &stubborn);
+    let escalated = run(&RunSpec::adaptive(halved.clone(), health, stubborn));
     println!("\n2. re-solving disabled, escalation after 1 miss:");
     println!(
         "   escalated            : at epoch {} barrier, {} task(s) handed to DP-Perf",
@@ -121,26 +121,19 @@ fn main() {
     // rates and shifts the CPU's chunks onto the GPU. (The reverse drift,
     // a GPU throttle, is not repairable here: SP-Single emits the GPU
     // share as one chunk, and region splits are baked into the plan.)
-    let healthy =
-        analyzer.simulate_resilient(&desc, config, &FaultSchedule::new(7), policy, &health);
+    let healthy = run(&RunSpec::resilient(FaultSchedule::new(7), health));
     let mid = SimTime::from_secs_f64(healthy.makespan.as_secs_f64() / 2.0);
     let drift = FaultSchedule::new(7).with_throttle(DeviceId(0), mid, SimTime::MAX, 2.5, 2.5);
-    let blind = analyzer.simulate_adaptive(
-        &desc,
-        config,
-        &drift,
-        policy,
-        &health,
-        &AdaptConfig::disabled(),
-    );
-    let rebalanced = analyzer.simulate_adaptive(
-        &desc,
-        config,
-        &drift,
-        policy,
-        &health,
-        &AdaptConfig::enabled_default(),
-    );
+    let blind = run(&RunSpec::adaptive(
+        drift.clone(),
+        health,
+        AdaptConfig::disabled(),
+    ));
+    let rebalanced = run(&RunSpec::adaptive(
+        drift.clone(),
+        health,
+        AdaptConfig::enabled_default(),
+    ));
     println!("\n3. CPU throttles 2.5x at {mid} (plan was faithful):");
     println!("   no throttle          : {}", healthy.makespan);
     println!("   static plan (blind)  : {}", blind.makespan);
@@ -157,14 +150,11 @@ fn main() {
     );
 
     // --- 4. Seeded adaptation replays byte-for-byte ----------------------
-    let replay = analyzer.simulate_adaptive(
-        &desc,
-        config,
-        &halved,
-        policy,
-        &health,
-        &AdaptConfig::enabled_default(),
-    );
+    let replay = run(&RunSpec::adaptive(
+        halved.clone(),
+        health,
+        AdaptConfig::enabled_default(),
+    ));
     assert_eq!(replay.makespan, adaptive.makespan);
     assert_eq!(replay.adapt, adaptive.adapt);
     assert_eq!(replay.breakdown, adaptive.breakdown);

@@ -23,9 +23,9 @@
 //! ```
 
 use hetero_match::apps::{blackscholes, synth};
-use hetero_match::matchmaker::{Analyzer, ExecutionConfig, ExecutionFlow, Strategy};
+use hetero_match::matchmaker::{Analyzer, ExecutionConfig, ExecutionFlow, RunSpec, Strategy};
 use hetero_match::platform::{DeviceId, FaultSchedule, FaultTrace, Platform, RetryPolicy, SimTime};
-use hetero_match::runtime::{AdaptConfig, HealthConfig, TraceEvent, TraceObserver};
+use hetero_match::runtime::{AdaptConfig, HealthConfig, NullObserver, TraceEvent, TraceObserver};
 
 fn main() {
     // --- 1. Correlated fault domain: one sick device infects its rack ----
@@ -66,8 +66,14 @@ fn main() {
         0.35,
         SimTime::from_millis(5),
     );
-    let solo = analyzer.simulate_faulty(&desc, config, &independent, policy);
-    let storm = analyzer.simulate_faulty(&desc, config, &correlated, policy);
+    let faulty = |schedule: &FaultSchedule| {
+        let spec = RunSpec::faulty(schedule.clone());
+        analyzer
+            .execute(&desc, config, &spec, &mut NullObserver, None)
+            .expect("valid schedule")
+    };
+    let solo = faulty(&independent);
+    let storm = faulty(&correlated);
     println!("1. fault domain \"pcie-switch-0\" = {{GPU, Phi}}, GPU fault window 0-40ms:");
     println!(
         "   independent faults   : {}  ({} task fault(s), 0 triggers)",
@@ -96,10 +102,15 @@ fn main() {
     // the GPU now pays 10× wire time, and the degradation ranking flips
     // away from the GPU-leaning winner.
     let bs = blackscholes::descriptor(1 << 21);
-    let healthy_rank = analyzer.rank_by_degradation(&bs, &FaultSchedule::new(3), policy);
+    let rank = |schedule: FaultSchedule| {
+        analyzer
+            .rank_by_degradation(&bs, &RunSpec::faulty(schedule))
+            .expect("valid schedule")
+    };
+    let healthy_rank = rank(FaultSchedule::new(3));
     let degraded =
         FaultSchedule::new(3).with_link_degrade(gpu, 0.10, 1.0, SimTime::ZERO, SimTime::MAX);
-    let degraded_rank = analyzer.rank_by_degradation(&bs, &degraded, policy);
+    let degraded_rank = rank(degraded);
     println!("\n2. BlackScholes, host<->GPU link at 10% bandwidth all run:");
     println!(
         "   {:<12} {:>12} {:>12} {:>8}",
@@ -128,10 +139,12 @@ fn main() {
     // synthesized sibling windows. Round-trip it through JSON and replay
     // with conditional triggering disabled — same makespan, same faults,
     // zero live triggers.
-    let (recorded, trace) = analyzer.record_fault_trace(&desc, config, &correlated, policy);
+    let (recorded, trace) = analyzer
+        .record_fault_trace(&desc, config, &correlated, policy)
+        .expect("valid schedule");
     let json = trace.to_json();
     let parsed = FaultTrace::from_json(&json).expect("trace JSON round-trips");
-    let replayed = analyzer.simulate_faulty(&desc, config, &parsed.replay_schedule(), policy);
+    let replayed = faulty(&parsed.replay_schedule());
     println!(
         "\n3. fault trace: {} byte(s) of JSON, {} synthesized event(s):",
         json.len(),
@@ -181,11 +194,15 @@ fn main() {
         reinstate_after: 2,
         ..stay_dynamic
     };
-    let escalated_only =
-        analyzer2.simulate_adaptive(&desc2, sp, &stale, policy, &health, &stay_dynamic);
+    let stay_spec = RunSpec::adaptive(stale.clone(), health, stay_dynamic);
+    let escalated_only = analyzer2
+        .execute(&desc2, sp, &stay_spec, &mut NullObserver, None)
+        .expect("valid spec");
     let mut tobs = TraceObserver::new();
+    let reinstate_spec = RunSpec::adaptive(stale, health, reinstate);
     let deescalated = analyzer2
-        .simulate_adaptive_observed(&desc2, sp, &stale, policy, &health, &reinstate, &mut tobs);
+        .execute(&desc2, sp, &reinstate_spec, &mut tobs, None)
+        .expect("valid spec");
     let escalated_at = deescalated.adapt.escalated_at_epoch.expect("must escalate");
     let reinstated_at = deescalated
         .adapt

@@ -27,9 +27,8 @@ use hetero_match::apps::stream;
 use hetero_match::matchmaker::{
     Analyzer, ExecutionConfig, JournalError, JournalSink, RunJournal, RunSpec, Strategy,
 };
-use hetero_match::platform::{
-    DeviceId, FaultSchedule, KillSchedule, Platform, RetryPolicy, SimTime,
-};
+use hetero_match::platform::{DeviceId, FaultSchedule, KillSchedule, Platform, SimTime};
+use hetero_match::runtime::NullObserver;
 
 fn main() {
     // STREAM with synchronisation: one committed journal record per loop
@@ -44,14 +43,16 @@ fn main() {
         SimTime::ZERO,
         SimTime::from_millis(12),
     );
-    let spec = RunSpec::faulty(schedule.clone());
+    let spec = RunSpec::faulty(schedule);
 
     // --- 1. The journaled run is a pure observation ----------------------
     let mut sink = JournalSink::record();
     let report = analyzer
         .simulate_journaled(&desc, config, &spec, &mut sink)
         .expect("no kill schedule, so the run completes");
-    let twin = analyzer.simulate_faulty(&desc, config, &schedule, RetryPolicy::default());
+    let twin = analyzer
+        .execute(&desc, config, &spec, &mut NullObserver, None)
+        .expect("valid spec");
     let full = sink.text();
     let records = sink.records();
     println!("1. STREAM (SP-Unified) under a flaky GPU, journaled:");

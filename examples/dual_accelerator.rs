@@ -13,7 +13,9 @@
 use hetero_match::apps::synth;
 use hetero_match::matchmaker::{ExecutionConfig, KernelSplit, Planner, Strategy};
 use hetero_match::platform::Platform;
-use hetero_match::runtime::{simulate, simulate_traced, PinnedScheduler, DEFAULT_GANTT_WIDTH};
+use hetero_match::runtime::{
+    execute, simulate, PinnedScheduler, RunSpec, TraceObserver, DEFAULT_GANTT_WIDTH,
+};
 
 fn main() {
     let platform = Platform::icpp15_with_phi();
@@ -65,7 +67,19 @@ fn main() {
 
     println!();
     println!("{:<26} {:>12}", "configuration", "time");
-    let (report, trace) = simulate_traced(&plan.program, &platform, &mut PinnedScheduler);
+    let mut tobs = TraceObserver::new();
+    let spec = RunSpec::plain();
+    let report = execute(
+        &plan.program,
+        &platform,
+        &mut PinnedScheduler,
+        &spec,
+        None,
+        &mut tobs,
+        None,
+    )
+    .expect("plain runs cannot fail");
+    let trace = tobs.into_trace();
     println!(
         "{:<26} {:>12}",
         "CPU + K20m + Phi (3-way)",

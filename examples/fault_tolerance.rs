@@ -11,10 +11,10 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use hetero_match::matchmaker::{Analyzer, ExecutionConfig, Planner, Strategy};
-use hetero_match::platform::{DeviceId, FaultSchedule, Platform, RetryPolicy, SimTime};
+use hetero_match::matchmaker::{Analyzer, ExecutionConfig, Planner, RunSpec, Strategy};
+use hetero_match::platform::{DeviceId, FaultSchedule, Platform, SimTime};
 use hetero_match::runtime::{
-    simulate, simulate_dp_perf_warmed_faulty, simulate_faulty, PinnedScheduler,
+    execute, simulate, NullObserver, PerfScheduler, PinnedScheduler, Program, Scheduler,
 };
 
 fn main() {
@@ -28,7 +28,6 @@ fn main() {
         false,
     );
     let planner = Planner::new(&platform);
-    let policy = RetryPolicy::default();
 
     // --- 1. SP-Single survives a GPU dropout at 50% progress -------------
     let static_prog = planner
@@ -36,15 +35,21 @@ fn main() {
         .program;
     let healthy = simulate(&static_prog, &platform, &mut PinnedScheduler);
     let at = SimTime::from_secs_f64(healthy.makespan.as_secs_f64() / 2.0);
-    let schedule = FaultSchedule::new(2026).with_dropout(DeviceId(1), at);
+    let spec = RunSpec::faulty(FaultSchedule::new(2026).with_dropout(DeviceId(1), at));
+    let faulty = |program: &Program, scheduler: &mut dyn Scheduler| {
+        execute(
+            program,
+            &platform,
+            scheduler,
+            &spec,
+            None,
+            &mut NullObserver,
+            None,
+        )
+        .expect("valid schedule")
+    };
 
-    let failed_over = simulate_faulty(
-        &static_prog,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        policy,
-    );
+    let failed_over = faulty(&static_prog, &mut PinnedScheduler);
     let done: u64 = failed_over.counters.devices.iter().map(|c| c.items).sum();
     println!("SP-Single, GPU dropout at {at}:");
     println!("  healthy makespan   : {}", healthy.makespan);
@@ -66,7 +71,8 @@ fn main() {
     let dynamic_prog = planner
         .plan(&app, ExecutionConfig::Strategy(Strategy::DpPerf))
         .program;
-    let adaptive = simulate_dp_perf_warmed_faulty(&dynamic_prog, &platform, &schedule, policy);
+    let mut warmed = PerfScheduler::warmed(&dynamic_prog, &platform, &spec).expect("valid spec");
+    let adaptive = faulty(&dynamic_prog, &mut warmed);
     println!("\nDP-Perf under the same dropout:");
     println!("  makespan           : {}", adaptive.makespan);
     println!(
@@ -79,13 +85,7 @@ fn main() {
     );
 
     // --- 3. Seeded faults replay byte-for-byte ---------------------------
-    let replay = simulate_faulty(
-        &static_prog,
-        &platform,
-        &mut PinnedScheduler,
-        &schedule,
-        policy,
-    );
+    let replay = faulty(&static_prog, &mut PinnedScheduler);
     assert_eq!(replay.makespan, failed_over.makespan);
     assert_eq!(replay.faults, failed_over.faults);
     println!("\nreplay with the same seed: identical makespan and fault counters ✓");
@@ -93,7 +93,10 @@ fn main() {
     // --- 4. The matchmaker's robustness ranking --------------------------
     let analyzer = Analyzer::new(&platform);
     println!("\nrobustness ranking under this schedule (degradation = faulty/healthy):");
-    for e in analyzer.rank_by_degradation(&app, &schedule, policy) {
+    for e in analyzer
+        .rank_by_degradation(&app, &spec)
+        .expect("valid spec")
+    {
         println!(
             "  {:<16} {:>7.2}x   (healthy {}, faulty {}, resilience overhead {})",
             e.config.to_string(),

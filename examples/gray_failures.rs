@@ -21,8 +21,8 @@ use hetero_match::platform::{
     DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
 };
 use hetero_match::runtime::{
-    simulate, simulate_faulty, simulate_resilient, Access, BreakerConfig, HealthConfig,
-    PinnedScheduler, Program, Region, VerificationPolicy, WatchdogConfig,
+    simulate, simulate_resilient, Access, BreakerConfig, HealthConfig, PinnedScheduler, Program,
+    Region, VerificationPolicy, WatchdogConfig,
 };
 
 /// A compute-bound kernel whose effective rate is identical on
@@ -80,12 +80,13 @@ fn main() {
     let straggler =
         FaultSchedule::new(2026).with_throttle(DeviceId(1), mid, SimTime::MAX, 4.0, 4.0);
 
-    let fail_stop = simulate_faulty(
+    let fail_stop = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &straggler,
         policy,
+        &HealthConfig::disabled(),
     );
     let hedging = HealthConfig {
         watchdog: Some(WatchdogConfig {
@@ -143,7 +144,15 @@ fn main() {
     let sdc =
         FaultSchedule::new(7).with_silent_corruption(DeviceId(1), 1.0, SimTime::ZERO, SimTime::MAX);
 
-    let silent = simulate_faulty(&two_epochs, &platform, &mut PinnedScheduler, &sdc, policy);
+    let unchecked = HealthConfig::disabled();
+    let silent = simulate_resilient(
+        &two_epochs,
+        &platform,
+        &mut PinnedScheduler,
+        &sdc,
+        policy,
+        &unchecked,
+    );
     let checking = HealthConfig {
         verification: VerificationPolicy::DupCheck { sample_rate: 1.0 },
         ..HealthConfig::disabled()

@@ -12,10 +12,10 @@
 //! ```
 
 use hetero_match::matchmaker::{ExecutionConfig, ExecutionFlow, Planner, Strategy};
-use hetero_match::platform::{DeviceId, FaultSchedule, MemSpaceId, Platform, RetryPolicy, SimTime};
+use hetero_match::platform::{DeviceId, FaultSchedule, MemSpaceId, Platform, SimTime};
 use hetero_match::runtime::{
-    simulate_faulty_observed, simulate_observed, CriticalPath, MetricsObserver, MultiObserver,
-    Observer, PinnedScheduler, RunReport, TraceEvent, TraceObserver,
+    execute, CriticalPath, MetricsObserver, MultiObserver, Observer, PinnedScheduler, RunReport,
+    RunSpec, TraceEvent, TraceObserver,
 };
 
 /// A user-defined observer: tallies the event stream without touching the
@@ -103,7 +103,17 @@ fn main() {
             .with(&mut tally)
             .with(&mut metrics)
             .with(&mut tracer);
-        simulate_observed(&program, &platform, &mut PinnedScheduler, &mut multi)
+        let spec = RunSpec::plain();
+        execute(
+            &program,
+            &platform,
+            &mut PinnedScheduler,
+            &spec,
+            None,
+            &mut multi,
+            None,
+        )
+        .expect("plain runs cannot fail")
     };
     println!("healthy SP-Single run: {}", report.makespan);
     println!(
@@ -135,16 +145,18 @@ fn main() {
     // lost capacity lands in the `dead` blame component, and the metrics
     // pick up the fault counters.
     let at = SimTime::from_secs_f64(report.makespan.as_secs_f64() / 2.0);
-    let schedule = FaultSchedule::new(2026).with_dropout(DeviceId(1), at);
+    let spec = RunSpec::faulty(FaultSchedule::new(2026).with_dropout(DeviceId(1), at));
     let mut faulty_metrics = MetricsObserver::new(&platform, "SP-Single/dropout");
-    let faulty = simulate_faulty_observed(
+    let faulty = execute(
         &program,
         &platform,
         &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
+        &spec,
+        None,
         &mut faulty_metrics,
-    );
+        None,
+    )
+    .expect("valid schedule");
     println!("\nGPU dropout at {at}: makespan {}", faulty.makespan);
     println!("blame (slot time per device):");
     print!("{}", faulty.breakdown.render(&names));

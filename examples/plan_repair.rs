@@ -26,14 +26,14 @@
 
 use hetero_match::apps::blackscholes;
 use hetero_match::matchmaker::{
-    Analyzer, ExecutionConfig, Planner, ReplanConfig, ReplanError, Strategy,
+    Analyzer, ExecutionConfig, Planner, ReplanConfig, ReplanError, RunSpec, Strategy,
 };
 use hetero_match::platform::{
     DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
 };
 use hetero_match::runtime::{
-    simulate_repairing_traced, simulate_resilient, Access, AdaptConfig, BreakerConfig,
-    HealthConfig, PinnedScheduler, Program, Region, TraceEvent, TraceObserver,
+    execute, simulate_resilient, Access, AdaptConfig, BreakerConfig, HealthConfig, NullObserver,
+    Observer, PinnedScheduler, Program, Region, TraceEvent, TraceObserver,
 };
 
 /// A compute-only kernel running at full efficiency everywhere: 400 Gflop/s
@@ -73,25 +73,34 @@ fn main() {
     let config = ExecutionConfig::Strategy(Strategy::SpSingle);
     let health = HealthConfig::disabled();
 
-    let healthy =
-        analyzer.simulate_resilient(&desc, config, &FaultSchedule::new(11), policy, &health);
+    let run = |spec: &RunSpec, obs: &mut dyn Observer| {
+        analyzer
+            .execute(&desc, config, spec, obs, None)
+            .expect("valid spec")
+    };
+    let healthy = run(
+        &RunSpec::resilient(FaultSchedule::new(11), health),
+        &mut NullObserver,
+    );
     let death = SimTime::from_secs_f64(0.3 * healthy.makespan.as_secs_f64());
     let schedule = FaultSchedule::new(11).with_dropout(DeviceId(1), death);
 
-    let naive = analyzer.simulate_resilient(&desc, config, &schedule, policy, &health);
+    let naive = run(
+        &RunSpec::resilient(schedule.clone(), health),
+        &mut NullObserver,
+    );
+    let repairing = RunSpec::repairing(
+        schedule,
+        health,
+        AdaptConfig::disabled(),
+        ReplanConfig::enabled_default(),
+    );
     let mut tracer = TraceObserver::new();
-    let repaired = analyzer
-        .simulate_repairing_observed(
-            &desc,
-            config,
-            &schedule,
-            policy,
-            &health,
-            &AdaptConfig::disabled(),
-            &ReplanConfig::enabled_default(),
-            &mut tracer,
-        )
-        .expect("the host and the coprocessor survive");
+    let repaired = run(&repairing, &mut tracer);
+    assert!(
+        repaired.adapt.replan_error.is_none(),
+        "the host and the coprocessor survive"
+    );
 
     println!("1. BlackScholes (SP-Single), K20m dies permanently at {death}:");
     println!("   healthy              : {}", healthy.makespan);
@@ -188,17 +197,24 @@ fn main() {
         policy,
         &breaker,
     );
-    let (healed, trace) = simulate_repairing_traced(
+    let healing = RunSpec::repairing(
+        flaky,
+        breaker,
+        AdaptConfig::disabled(),
+        ReplanConfig::enabled_default(),
+    );
+    let mut tobs = TraceObserver::new();
+    let healed = execute(
         &program,
         &platform2,
         &mut PinnedScheduler,
-        &flaky,
-        policy,
-        &breaker,
-        &AdaptConfig::disabled(),
+        &healing,
         None,
-        &ReplanConfig::enabled_default(),
-    );
+        &mut tobs,
+        None,
+    )
+    .expect("valid spec");
+    let trace = tobs.into_trace();
     println!("\n2. flaky GPU quarantined, then readmitted on reclose:");
     println!(
         "   breaker              : {} open(s), {} probe(s), {} close(s)",
@@ -276,17 +292,11 @@ fn main() {
     assert!(matches!(headless, ReplanError::SolverInfeasible { .. }));
 
     // --- 4. Seeded repairs replay byte-for-byte --------------------------
-    let replay = analyzer
-        .simulate_repairing(
-            &desc,
-            config,
-            &schedule,
-            policy,
-            &health,
-            &AdaptConfig::disabled(),
-            &ReplanConfig::enabled_default(),
-        )
-        .expect("same schedule, same survivors");
+    let replay = run(&repairing, &mut NullObserver);
+    assert!(
+        replay.adapt.replan_error.is_none(),
+        "same schedule, same survivors"
+    );
     assert_eq!(replay.makespan, repaired.makespan);
     assert_eq!(replay.adapt, repaired.adapt);
     assert_eq!(replay.breakdown, repaired.breakdown);

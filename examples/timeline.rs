@@ -10,7 +10,27 @@
 use hetero_match::apps::{blackscholes, stream};
 use hetero_match::matchmaker::{Analyzer, ExecutionConfig, Strategy};
 use hetero_match::platform::Platform;
-use hetero_match::runtime::{simulate_traced, PinnedScheduler, DEFAULT_GANTT_WIDTH};
+use hetero_match::runtime::{
+    execute, PinnedScheduler, Program, RunReport, RunSpec, Trace, TraceObserver,
+    DEFAULT_GANTT_WIDTH,
+};
+
+/// Simulate a pinned plan fault-free, recording its execution trace.
+fn traced(program: &Program, platform: &Platform) -> (RunReport, Trace) {
+    let mut tobs = TraceObserver::new();
+    let spec = RunSpec::plain();
+    let report = execute(
+        program,
+        platform,
+        &mut PinnedScheduler,
+        &spec,
+        None,
+        &mut tobs,
+        None,
+    )
+    .expect("plain runs cannot fail");
+    (report, tobs.into_trace())
+}
 
 fn main() {
     let platform = Platform::icpp15();
@@ -27,7 +47,7 @@ fn main() {
         ("Only-CPU", ExecutionConfig::OnlyCpu),
     ] {
         let plan = analyzer.plan(&blackscholes::paper_descriptor(), config);
-        let (report, trace) = simulate_traced(&plan.program, &platform, &mut PinnedScheduler);
+        let (report, trace) = traced(&plan.program, &platform);
         println!("-- {label}: {} --", report.makespan);
         print!("{}", trace.gantt(&platform, width));
         println!();
@@ -38,7 +58,7 @@ fn main() {
         &stream::paper_seq(true),
         ExecutionConfig::Strategy(Strategy::SpVaried),
     );
-    let (report, trace) = simulate_traced(&plan.program, &platform, &mut PinnedScheduler);
+    let (report, trace) = traced(&plan.program, &platform);
     println!("-- SP-Varied: {} --", report.makespan);
     print!("{}", trace.gantt(&platform, width));
     println!();

@@ -13,15 +13,28 @@
 use hetero_match::apps::synth;
 use hetero_match::matchmaker::{
     AccessPattern, Analyzer, AppDescriptor, BufferSpec, ExecutionConfig, ExecutionFlow, KernelSpec,
-    Planner, Strategy, SyncPolicy,
+    Planner, RunSpec, Strategy, SyncPolicy,
 };
 use hetero_match::platform::{
-    DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
+    DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, SimTime,
 };
 use hetero_match::runtime::{
-    simulate_adaptive, AccessMode, AdaptConfig, AdaptPlan, HealthConfig, PinnedScheduler,
+    execute, AccessMode, AdaptConfig, AdaptPlan, HealthConfig, NullObserver, PinnedScheduler,
+    RunReport,
 };
 use proptest::prelude::*;
+
+/// One unobserved, unjournaled analyzer run of `spec`.
+fn run(
+    analyzer: &Analyzer,
+    desc: &AppDescriptor,
+    config: ExecutionConfig,
+    spec: &RunSpec,
+) -> RunReport {
+    analyzer
+        .execute(desc, config, spec, &mut NullObserver, None)
+        .unwrap()
+}
 
 /// SK-Loop: 8 iterations of a compute-heavy kernel with a taskwait between
 /// iterations, so the controller gets 7 barriers to observe and correct.
@@ -49,22 +62,24 @@ fn misprediction_hurts_and_repartitioning_recovers_the_gap() {
     let analyzer = Analyzer::new(&platform);
     let desc = app();
     let schedule = halved_gpu_profile(42);
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
 
     // Oracle: the faithful plan. The perturbation only skews profiling, so
     // executing the unskewed plan under the schedule costs nothing.
-    let oracle = analyzer.simulate_resilient(&desc, CONFIG, &schedule, policy, &health);
+    let oracle = run(
+        &analyzer,
+        &desc,
+        CONFIG,
+        &RunSpec::resilient(schedule.clone(), health),
+    );
     assert_eq!(oracle.makespan, analyzer.simulate(&desc, CONFIG).makespan);
 
     // Mispredicted baseline: the skewed plan, no mitigation.
-    let mis = analyzer.simulate_adaptive(
+    let mis = run(
+        &analyzer,
         &desc,
         CONFIG,
-        &schedule,
-        policy,
-        &health,
-        &AdaptConfig::disabled(),
+        &RunSpec::adaptive(schedule.clone(), health, AdaptConfig::disabled()),
     );
     assert!(
         mis.makespan > oracle.makespan,
@@ -75,13 +90,11 @@ fn misprediction_hurts_and_repartitioning_recovers_the_gap() {
     );
 
     // Adaptive run: detect, re-solve, re-pin.
-    let adaptive = analyzer.simulate_adaptive(
+    let adaptive = run(
+        &analyzer,
         &desc,
         CONFIG,
-        &schedule,
-        policy,
-        &health,
-        &AdaptConfig::enabled_default(),
+        &RunSpec::adaptive(schedule.clone(), health, AdaptConfig::enabled_default()),
     );
     assert!(adaptive.adapt.imbalances_detected >= 1);
     assert!(adaptive.adapt.repartitions >= 1, "{:?}", adaptive.adapt);
@@ -108,7 +121,6 @@ fn escalation_fires_only_when_resolves_are_exhausted() {
     let analyzer = Analyzer::new(&platform);
     let desc = app();
     let schedule = halved_gpu_profile(42);
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
 
     // Repartitioning disabled: every trigger burns a "re-solve" that
@@ -118,7 +130,12 @@ fn escalation_fires_only_when_resolves_are_exhausted() {
         max_resolves: 1,
         ..AdaptConfig::enabled_default()
     };
-    let escalated = analyzer.simulate_adaptive(&desc, CONFIG, &schedule, policy, &health, &cfg);
+    let escalated = run(
+        &analyzer,
+        &desc,
+        CONFIG,
+        &RunSpec::adaptive(schedule.clone(), health, cfg),
+    );
     assert!(escalated.adapt.escalated, "{:?}", escalated.adapt);
     assert_eq!(escalated.adapt.repartitions, 0);
     assert!(escalated.adapt.escalated_at_epoch.is_some());
@@ -126,13 +143,11 @@ fn escalation_fires_only_when_resolves_are_exhausted() {
 
     // The escalated DP-Perf (seeded from the run's own observations)
     // still beats riding the mispredicted plan to the end.
-    let mis = analyzer.simulate_adaptive(
+    let mis = run(
+        &analyzer,
         &desc,
         CONFIG,
-        &schedule,
-        policy,
-        &health,
-        &AdaptConfig::disabled(),
+        &RunSpec::adaptive(schedule.clone(), health, AdaptConfig::disabled()),
     );
     assert!(
         escalated.makespan < mis.makespan,
@@ -143,13 +158,11 @@ fn escalation_fires_only_when_resolves_are_exhausted() {
 
     // Plenty of re-solve budget with working repartitioning: the balance
     // target is met again before the budget runs out, so no escalation.
-    let repaired = analyzer.simulate_adaptive(
+    let repaired = run(
+        &analyzer,
         &desc,
         CONFIG,
-        &schedule,
-        policy,
-        &health,
-        &AdaptConfig::enabled_default(),
+        &RunSpec::adaptive(schedule.clone(), health, AdaptConfig::enabled_default()),
     );
     assert!(!repaired.adapt.escalated);
 }
@@ -159,7 +172,6 @@ fn adaptive_runs_replay_byte_identically() {
     let platform = Platform::icpp15();
     let analyzer = Analyzer::new(&platform);
     let desc = app();
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
     for cfg in [
         AdaptConfig::enabled_default(),
@@ -169,21 +181,17 @@ fn adaptive_runs_replay_byte_identically() {
             ..AdaptConfig::enabled_default()
         },
     ] {
-        let a = analyzer.simulate_adaptive(
+        let a = run(
+            &analyzer,
             &desc,
             CONFIG,
-            &halved_gpu_profile(42),
-            policy,
-            &health,
-            &cfg,
+            &RunSpec::adaptive(halved_gpu_profile(42), health, cfg),
         );
-        let b = analyzer.simulate_adaptive(
+        let b = run(
+            &analyzer,
             &desc,
             CONFIG,
-            &halved_gpu_profile(42),
-            policy,
-            &health,
-            &cfg,
+            &RunSpec::adaptive(halved_gpu_profile(42), health, cfg),
         );
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
@@ -199,17 +207,19 @@ fn disabled_adaptation_without_perturbation_matches_resilient_exactly() {
     let analyzer = Analyzer::new(&platform);
     let desc = app();
     let schedule = FaultSchedule::new(7); // no events at all
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
 
-    let resilient = analyzer.simulate_resilient(&desc, CONFIG, &schedule, policy, &health);
-    let adaptive_off = analyzer.simulate_adaptive(
+    let resilient = run(
+        &analyzer,
         &desc,
         CONFIG,
-        &schedule,
-        policy,
-        &health,
-        &AdaptConfig::disabled(),
+        &RunSpec::resilient(schedule.clone(), health),
+    );
+    let adaptive_off = run(
+        &analyzer,
+        &desc,
+        CONFIG,
+        &RunSpec::adaptive(schedule.clone(), health, AdaptConfig::disabled()),
     );
     assert_eq!(
         serde_json::to_string(&resilient).unwrap(),
@@ -219,13 +229,11 @@ fn disabled_adaptation_without_perturbation_matches_resilient_exactly() {
 
     // A well-predicted plan stays balanced: the controller observes but
     // never escalates.
-    let adaptive_on = analyzer.simulate_adaptive(
+    let adaptive_on = run(
+        &analyzer,
         &desc,
         CONFIG,
-        &schedule,
-        policy,
-        &health,
-        &AdaptConfig::enabled_default(),
+        &RunSpec::adaptive(schedule.clone(), health, AdaptConfig::enabled_default()),
     );
     assert!(adaptive_on.adapt.barriers_observed > 0);
     assert!(!adaptive_on.adapt.escalated);
@@ -237,11 +245,12 @@ fn degradation_ranking_with_adaptation_is_deterministic_and_complete() {
     let analyzer = Analyzer::new(&platform);
     let desc = app();
     let schedule = halved_gpu_profile(42);
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
     let adapt = AdaptConfig::enabled_default();
 
-    let entries = analyzer.rank_by_degradation_adaptive(&desc, &schedule, policy, &health, &adapt);
+    let entries = analyzer
+        .rank_by_degradation(&desc, &RunSpec::adaptive(schedule.clone(), health, adapt))
+        .unwrap();
     // Baselines + the SK-Loop ranking (SP-Single, DP-Perf, DP-Dep).
     assert_eq!(entries.len(), 5);
     assert!(entries
@@ -260,7 +269,9 @@ fn degradation_ranking_with_adaptation_is_deterministic_and_complete() {
             assert!((e.degradation() - 1.0).abs() < 1e-9, "{}", e.config);
         }
     }
-    let again = analyzer.rank_by_degradation_adaptive(&desc, &schedule, policy, &health, &adapt);
+    let again = analyzer
+        .rank_by_degradation(&desc, &RunSpec::adaptive(schedule.clone(), health, adapt))
+        .unwrap();
     for (a, b) in entries.iter().zip(&again) {
         assert_eq!(a.config, b.config);
         assert_eq!(a.faulty.makespan, b.faulty.makespan);
@@ -349,23 +360,22 @@ fn sp_varied_adaptation_resolves_each_kernel_not_the_sp_single_projection() {
 
     // Execution itself is fault-free: the error lives in the profile.
     let schedule = FaultSchedule::new(3);
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
     let adapt = AdaptConfig {
         escalation: false,
         ..AdaptConfig::enabled_default()
     };
     let run = |cfg: &AdaptConfig, ap: Option<AdaptPlan>| {
-        simulate_adaptive(
+        execute(
             &plan.program,
             &platform,
             &mut PinnedScheduler,
-            &schedule,
-            policy,
-            &health,
-            cfg,
+            &RunSpec::adaptive(schedule.clone(), health, *cfg),
             ap,
+            &mut NullObserver,
+            None,
         )
+        .unwrap()
     };
 
     let mis = run(&AdaptConfig::disabled(), None);
@@ -435,11 +445,10 @@ proptest! {
                 2.0,
             );
         }
-        let policy = RetryPolicy::default();
         let health = HealthConfig::disabled();
         let adapt = AdaptConfig::enabled_default();
 
-        let r = analyzer.simulate_adaptive(&desc, CONFIG, &schedule, policy, &health, &adapt);
+        let r = run(&analyzer, &desc, CONFIG, &RunSpec::adaptive(schedule.clone(), health, adapt));
         // 8 epochs: 7 taskwait barriers plus the end-of-program flush.
         prop_assert!(r.adapt.barriers_observed <= 8);
         prop_assert!(r.adapt.imbalances_detected <= r.adapt.barriers_observed);
@@ -452,7 +461,7 @@ proptest! {
         prop_assert_eq!(r.adapt.escalated, r.adapt.escalated_at_epoch.is_some());
         prop_assert!(r.adapt.final_skew <= r.adapt.max_skew);
 
-        let r2 = analyzer.simulate_adaptive(&desc, CONFIG, &schedule, policy, &health, &adapt);
+        let r2 = run(&analyzer, &desc, CONFIG, &RunSpec::adaptive(schedule.clone(), health, adapt));
         prop_assert_eq!(
             serde_json::to_string(&r).unwrap(),
             serde_json::to_string(&r2).unwrap()
@@ -471,14 +480,11 @@ proptest! {
         let desc = app();
         let schedule = FaultSchedule::new(seed)
             .with_profile_perturb(DeviceId(1), factor, SimTime::ZERO, SimTime::MAX);
-        let policy = RetryPolicy::default();
         let health = HealthConfig::disabled();
 
-        let mis = analyzer.simulate_adaptive(
-            &desc, CONFIG, &schedule, policy, &health, &AdaptConfig::disabled(),
-        );
+        let mis = run(&analyzer, &desc, CONFIG, &RunSpec::adaptive(schedule.clone(), health, AdaptConfig::disabled()));
         let cfg = AdaptConfig { escalation: false, ..AdaptConfig::enabled_default() };
-        let adaptive = analyzer.simulate_adaptive(&desc, CONFIG, &schedule, policy, &health, &cfg);
+        let adaptive = run(&analyzer, &desc, CONFIG, &RunSpec::adaptive(schedule.clone(), health, cfg));
         prop_assert!(
             adaptive.makespan.as_secs_f64() <= mis.makespan.as_secs_f64() * (1.0 + 1e-9),
             "adaptive {:?} worse than mispredicted {:?} (factor {}, {:?})",

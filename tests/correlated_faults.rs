@@ -11,10 +11,26 @@
 //!   guard), and an open disturbance window blocks reinstatement.
 
 use hetero_match::apps::synth;
-use hetero_match::matchmaker::{Analyzer, ExecutionConfig, ExecutionFlow, Strategy};
+use hetero_match::matchmaker::{
+    Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, RunSpec, Strategy,
+};
 use hetero_match::platform::{DeviceId, FaultSchedule, FaultTrace, Platform, RetryPolicy, SimTime};
-use hetero_match::runtime::{AdaptConfig, HealthConfig, TraceEvent, TraceObserver};
+use hetero_match::runtime::{
+    AdaptConfig, HealthConfig, NullObserver, RunReport, TraceEvent, TraceObserver,
+};
 use proptest::prelude::*;
+
+/// One unobserved, unjournaled analyzer run of `spec`.
+fn run(
+    analyzer: &Analyzer,
+    desc: &AppDescriptor,
+    config: ExecutionConfig,
+    spec: &RunSpec,
+) -> RunReport {
+    analyzer
+        .execute(desc, config, spec, &mut NullObserver, None)
+        .unwrap()
+}
 
 const GPU: DeviceId = DeviceId(1);
 
@@ -59,7 +75,6 @@ fn deescalation_runs_the_full_lifecycle_and_is_visible_in_the_trace() {
     let analyzer = Analyzer::new(&platform);
     let desc = loop_app("lifecycle", 10);
     let sp = ExecutionConfig::Strategy(Strategy::SpSingle);
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
     // A real fault window that has *closed* by escalation time rides along
     // with the stale profile: reinstatement must wait for calm, not for a
@@ -72,15 +87,15 @@ fn deescalation_runs_the_full_lifecycle_and_is_visible_in_the_trace() {
     );
 
     let mut tobs = TraceObserver::new();
-    let report = analyzer.simulate_adaptive_observed(
-        &desc,
-        sp,
-        &schedule,
-        policy,
-        &health,
-        &reinstate_after(2),
-        &mut tobs,
-    );
+    let report = analyzer
+        .execute(
+            &desc,
+            sp,
+            &RunSpec::adaptive(schedule.clone(), health, reinstate_after(2)),
+            &mut tobs,
+            None,
+        )
+        .unwrap();
     let escalated_at = report.adapt.escalated_at_epoch.expect("must escalate");
     let reinstated_at = report.adapt.reinstated_at_epoch.expect("must reinstate");
     assert!(report.adapt.escalated && report.adapt.reinstated);
@@ -107,7 +122,6 @@ fn open_disturbance_window_blocks_reinstatement() {
     let analyzer = Analyzer::new(&platform);
     let desc = loop_app("blocked", 10);
     let sp = ExecutionConfig::Strategy(Strategy::SpSingle);
-    let policy = RetryPolicy::default();
     let health = HealthConfig::disabled();
     // Identical stale profile, but the fault window never closes: however
     // calm the skew runs, the platform is not quiet, so the controller
@@ -115,8 +129,12 @@ fn open_disturbance_window_blocks_reinstatement() {
     let schedule =
         stale_profile(0.02).with_task_faults(Some(GPU), 0.01, SimTime::ZERO, SimTime::MAX);
 
-    let report =
-        analyzer.simulate_adaptive(&desc, sp, &schedule, policy, &health, &reinstate_after(2));
+    let report = run(
+        &analyzer,
+        &desc,
+        sp,
+        &RunSpec::adaptive(schedule.clone(), health, reinstate_after(2)),
+    );
     assert!(report.adapt.escalated, "the stale plan must still escalate");
     assert!(
         !report.adapt.reinstated && report.adapt.reinstated_at_epoch.is_none(),
@@ -142,7 +160,6 @@ proptest! {
         let analyzer = Analyzer::new(&platform);
         let desc = loop_app("replay", 3);
         let config = ExecutionConfig::Strategy(Strategy::SpSingle);
-        let policy = RetryPolicy::default();
         let schedule = FaultSchedule::new(seed)
             .with_task_faults(Some(GPU), fault_prob, SimTime::ZERO, SimTime::from_millis(20))
             .with_domain(
@@ -153,7 +170,9 @@ proptest! {
                 SimTime::from_millis(window_ms),
             );
 
-        let (recorded, trace) = analyzer.record_fault_trace(&desc, config, &schedule, policy);
+        let (recorded, trace) = analyzer
+            .record_fault_trace(&desc, config, &schedule, RetryPolicy::default())
+            .unwrap();
         prop_assert_eq!(
             trace.synthesized.len() as u64,
             recorded.faults.correlated_triggers
@@ -165,7 +184,7 @@ proptest! {
         prop_assert_eq!(parsed.to_json(), json);
 
         let replayed =
-            analyzer.simulate_faulty(&desc, config, &parsed.replay_schedule(), policy);
+            run(&analyzer, &desc, config, &RunSpec::faulty(parsed.replay_schedule()));
         prop_assert_eq!(replayed.makespan, recorded.makespan);
         prop_assert_eq!(replayed.breakdown, recorded.breakdown);
         prop_assert_eq!(replayed.faults.task_faults, recorded.faults.task_faults);
@@ -186,7 +205,6 @@ proptest! {
         let analyzer = Analyzer::new(&platform);
         let desc = loop_app("degraded-link", 4);
         let config = ExecutionConfig::Strategy(Strategy::SpSingle);
-        let policy = RetryPolicy::default();
         let until = if until_ms == u64::MAX {
             SimTime::MAX
         } else {
@@ -195,8 +213,8 @@ proptest! {
         let schedule = FaultSchedule::new(5)
             .with_link_degrade(GPU, bw_factor, lat_factor, SimTime::ZERO, until);
 
-        let healthy = analyzer.simulate_faulty(&desc, config, &FaultSchedule::new(5), policy);
-        let degraded = analyzer.simulate_faulty(&desc, config, &schedule, policy);
+        let healthy = run(&analyzer, &desc, config, &RunSpec::faulty(FaultSchedule::new(5)));
+        let degraded = run(&analyzer, &desc, config, &RunSpec::faulty(schedule.clone()));
 
         prop_assert!(degraded.breakdown.identity_holds());
         prop_assert!(degraded.makespan >= healthy.makespan);
@@ -233,20 +251,12 @@ proptest! {
         let analyzer = Analyzer::new(&platform);
         let desc = loop_app("no-regression", 10);
         let sp = ExecutionConfig::Strategy(Strategy::SpSingle);
-        let policy = RetryPolicy::default();
         let health = HealthConfig::disabled();
         let schedule = stale_profile(factor);
 
         let stayed =
-            analyzer.simulate_adaptive(&desc, sp, &schedule, policy, &health, &stay_escalated());
-        let deescalated = analyzer.simulate_adaptive(
-            &desc,
-            sp,
-            &schedule,
-            policy,
-            &health,
-            &reinstate_after(calm),
-        );
+            run(&analyzer, &desc, sp, &RunSpec::adaptive(schedule.clone(), health, stay_escalated()));
+        let deescalated = run(&analyzer, &desc, sp, &RunSpec::adaptive(schedule.clone(), health, reinstate_after(calm)));
 
         prop_assert!(
             deescalated.makespan <= stayed.makespan,

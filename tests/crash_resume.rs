@@ -13,10 +13,8 @@ use hetero_match::matchmaker::{
     Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, JournalError, JournalSink, RunSpec,
     Strategy,
 };
-use hetero_match::platform::{
-    DeviceId, FaultSchedule, KillSchedule, Platform, RetryPolicy, SimTime,
-};
-use hetero_match::runtime::{AdaptConfig, HealthConfig, ReplanConfig};
+use hetero_match::platform::{DeviceId, FaultSchedule, KillSchedule, Platform, SimTime};
+use hetero_match::runtime::{AdaptConfig, HealthConfig, NullObserver, ReplanConfig};
 use hetero_match::runtime::{MetricsObserver, MultiObserver, SnapshotObserver, TraceObserver};
 use proptest::prelude::*;
 
@@ -184,7 +182,15 @@ fn every_kill_point_resumes_identically_under_faults() {
         SimTime::ZERO,
         SimTime::from_millis(500),
     );
-    let twin = analyzer.simulate_faulty(&desc, config, &schedule, RetryPolicy::default());
+    let twin = analyzer
+        .execute(
+            &desc,
+            config,
+            &RunSpec::faulty(schedule.clone()),
+            &mut NullObserver,
+            None,
+        )
+        .unwrap();
     assert!(
         twin.faults.task_faults > 0,
         "the flaky window must actually fault"
@@ -209,14 +215,15 @@ fn every_kill_point_resumes_identically_across_adaptation() {
         FaultSchedule::new(42).with_profile_perturb(DeviceId(1), 0.5, SimTime::ZERO, SimTime::MAX);
     let health = HealthConfig::disabled();
     let adapt = AdaptConfig::enabled_default();
-    let twin = analyzer.simulate_adaptive(
-        &desc,
-        config,
-        &schedule,
-        RetryPolicy::default(),
-        &health,
-        &adapt,
-    );
+    let twin = analyzer
+        .execute(
+            &desc,
+            config,
+            &RunSpec::adaptive(schedule.clone(), health, adapt),
+            &mut NullObserver,
+            None,
+        )
+        .unwrap();
     assert!(
         twin.adapt.repartitions >= 1,
         "the misprediction must trigger repartitioning: {:?}",
@@ -242,33 +249,21 @@ fn every_kill_point_resumes_identically_across_plan_repair() {
     let desc = app();
     let config = ExecutionConfig::Strategy(Strategy::SpSingle);
     let schedule = FaultSchedule::new(7).with_dropout(DeviceId(1), SimTime::from_micros(400));
-    let health = HealthConfig::disabled();
-    let adapt = AdaptConfig::disabled();
-    let replan = ReplanConfig::enabled_default();
+    let spec = RunSpec::repairing(
+        schedule,
+        HealthConfig::disabled(),
+        AdaptConfig::disabled(),
+        ReplanConfig::enabled_default(),
+    );
     let twin = analyzer
-        .simulate_repairing(
-            &desc,
-            config,
-            &schedule,
-            RetryPolicy::default(),
-            &health,
-            &adapt,
-            &replan,
-        )
+        .execute(&desc, config, &spec, &mut NullObserver, None)
         .unwrap();
     assert!(
-        twin.adapt.replans >= 1,
+        twin.adapt.replan_error.is_none() && twin.adapt.replans >= 1,
         "the dropout must trigger plan repair: {:?}",
         twin.adapt
     );
-    sweep(
-        &platform,
-        &analyzer,
-        &desc,
-        config,
-        &RunSpec::repairing(schedule, health, adapt, replan),
-        Some(&twin),
-    );
+    sweep(&platform, &analyzer, &desc, config, &spec, Some(&twin));
 }
 
 /// A complete journaled plain run: (journal text, report digest).

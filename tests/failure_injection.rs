@@ -14,8 +14,8 @@
 use hetero_match::matchmaker::{Analyzer, ExecutionConfig, Planner, Strategy};
 use hetero_match::platform::{FaultSchedule, Platform, RetryPolicy, SimTime};
 use hetero_match::runtime::{
-    simulate, simulate_dp_perf_warmed, simulate_dp_perf_warmed_faulty, simulate_faulty,
-    PinnedScheduler,
+    execute, simulate, simulate_dp_perf_warmed, simulate_resilient, HealthConfig, NullObserver,
+    PerfScheduler, PinnedScheduler, RunSpec,
 };
 
 /// The perturbation: from t=0 the GPU runs `slowdown` times slower than the
@@ -54,12 +54,13 @@ fn stale_static_plan_suffers_under_gpu_contention() {
         .plan(&desc, ExecutionConfig::Strategy(Strategy::SpSingle))
         .program;
     let healthy = simulate(&stale, &platform, &mut PinnedScheduler);
-    let degraded = simulate_faulty(
+    let degraded = simulate_resilient(
         &stale,
         &platform,
         &mut PinnedScheduler,
         &gpu_contention(8.0),
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
 
     // The stale plan's makespan balloons (the GPU partition was sized for a
@@ -89,20 +90,27 @@ fn dp_perf_adapts_to_gpu_contention() {
         .plan(&desc, ExecutionConfig::Strategy(Strategy::DpPerf))
         .program;
 
-    let stale_static = simulate_faulty(
+    let stale_static = simulate_resilient(
         &static_prog,
         &platform,
         &mut PinnedScheduler,
         &contention,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
     // DP-Perf profiles at runtime (warm-up run also sees the throttled GPU).
-    let adaptive = simulate_dp_perf_warmed_faulty(
+    let spec = RunSpec::faulty(contention);
+    let mut warmed = PerfScheduler::warmed(&dynamic_prog, &platform, &spec).unwrap();
+    let adaptive = execute(
         &dynamic_prog,
         &platform,
-        &contention,
-        RetryPolicy::default(),
-    );
+        &mut warmed,
+        &spec,
+        None,
+        &mut NullObserver,
+        None,
+    )
+    .unwrap();
 
     assert!(
         adaptive.makespan < stale_static.makespan,

@@ -13,7 +13,8 @@ use hetero_match::matchmaker::{
 };
 use hetero_match::platform::{DeviceId, FaultSchedule, Platform, SimTime};
 use hetero_match::runtime::{
-    AdaptConfig, HealthConfig, MetricsRegistry, ReplanConfig, SpanTree, TraceObserver,
+    AdaptConfig, HealthConfig, MetricsRegistry, ReplanConfig, SnapshotObserver, SpanTree,
+    TraceObserver,
 };
 
 /// Every series name a registry holds (base names, labels stripped).
@@ -56,13 +57,15 @@ fn catalog_matches_emitted_series_in_both_directions() {
     let breaker = FaultSchedule::new(11)
         .with_flaky(DeviceId(1), 1.0, SimTime::ZERO, SimTime::from_millis(200))
         .with_transfer_faults(0.05, SimTime::ZERO, SimTime::MAX);
-    let (report, obs) = analyzer
-        .simulate_streamed(
-            &desc,
-            ExecutionConfig::Strategy(Strategy::SpVaried),
-            &RunSpec::resilient(breaker, HealthConfig::monitored()),
-        )
-        .expect("resilient streamed run");
+    let streamed = |config: ExecutionConfig, spec: &RunSpec| {
+        let mut obs = SnapshotObserver::new(&platform, STREAM_STRATEGY_LABEL);
+        let report = analyzer.execute(&desc, config, spec, &mut obs, None);
+        (report.expect("streamed run"), obs)
+    };
+    let (report, obs) = streamed(
+        ExecutionConfig::Strategy(Strategy::SpVaried),
+        &RunSpec::resilient(breaker, HealthConfig::monitored()),
+    );
     assert!(
         !report.health.quarantine.is_empty(),
         "battery must quarantine a device so hm_quarantine_seconds is exercised"
@@ -74,25 +77,24 @@ fn catalog_matches_emitted_series_in_both_directions() {
     let dropout = FaultSchedule::new(7)
         .with_flaky(DeviceId(2), 0.2, SimTime::ZERO, SimTime::from_millis(1))
         .with_dropout(DeviceId(1), SimTime::from_micros(400));
-    let (report, obs) = analyzer
-        .simulate_streamed(
-            &desc,
-            config,
-            &RunSpec::repairing(
-                dropout,
-                HealthConfig::disabled(),
-                AdaptConfig::disabled(),
-                ReplanConfig::enabled_default(),
-            ),
-        )
-        .expect("repairing streamed run");
+    let (report, obs) = streamed(
+        config,
+        &RunSpec::repairing(
+            dropout,
+            HealthConfig::disabled(),
+            AdaptConfig::disabled(),
+            ReplanConfig::enabled_default(),
+        ),
+    );
     assert!(report.faults.device_dropouts > 0);
     all.extend(emitted(obs.registry()));
 
     // Span profile: lift a traced fault-free run into a span tree and
     // export hm_span_seconds.
     let mut tobs = TraceObserver::new();
-    analyzer.simulate_observed(&desc, config, &mut tobs);
+    analyzer
+        .execute(&desc, config, &RunSpec::plain(), &mut tobs, None)
+        .unwrap();
     let tree = SpanTree::from_trace(tobs.trace(), &platform);
     let mut registry = MetricsRegistry::new();
     tree.export_metrics(&mut registry, STREAM_STRATEGY_LABEL);

@@ -7,13 +7,14 @@
 
 use hetero_match::apps::{paper_apps, synth};
 use hetero_match::matchmaker::{
-    Analyzer, ExecutionConfig, ExecutionFlow, JournalSink, Planner, ProfileStore, RunSpec, Strategy,
+    Analyzer, ExecutionConfig, ExecutionFlow, JournalSink, Planner, ProfileStore, RunSpec,
+    Strategy, STREAM_STRATEGY_LABEL,
 };
-use hetero_match::platform::{DeviceId, FaultSchedule, Platform, RetryPolicy, SimTime};
+use hetero_match::platform::{DeviceId, FaultSchedule, Platform, SimTime};
 use hetero_match::runtime::{
-    fold_stream, simulate, simulate_observed, simulate_traced, AdaptConfig, CriticalPath,
-    HealthConfig, MetricsObserver, MetricsRegistry, MultiObserver, NullObserver, PinnedScheduler,
-    ReplanConfig, SpanTree, TimeBreakdown, TraceObserver,
+    execute, fold_stream, simulate, AdaptConfig, CriticalPath, HealthConfig, MetricsObserver,
+    MetricsRegistry, MultiObserver, NullObserver, PinnedScheduler, ReplanConfig, SnapshotObserver,
+    SpanTree, TimeBreakdown, TraceObserver,
 };
 use proptest::prelude::*;
 
@@ -63,7 +64,10 @@ fn breakdown_identity_holds_under_faults() {
         .with_dropout(DeviceId(1), SimTime::from_millis(2))
         .with_task_faults(None, 0.05, SimTime::ZERO, SimTime::MAX)
         .with_transfer_faults(0.05, SimTime::ZERO, SimTime::MAX);
-    for e in analyzer.rank_by_degradation(&desc, &schedule, RetryPolicy::default()) {
+    for e in analyzer
+        .rank_by_degradation(&desc, &RunSpec::faulty(schedule.clone()))
+        .unwrap()
+    {
         assert!(e.healthy.breakdown.identity_holds(), "{}", e.config);
         assert!(e.faulty.breakdown.identity_holds(), "{}", e.config);
         assert!(e.resilience_overhead() >= SimTime::ZERO);
@@ -88,13 +92,42 @@ fn observers_do_not_perturb_the_simulation() {
         .program;
     let plain = simulate(&program, &platform, &mut PinnedScheduler);
     let mut null = NullObserver;
-    let nulled = simulate_observed(&program, &platform, &mut PinnedScheduler, &mut null);
-    let (traced_report, trace) = simulate_traced(&program, &platform, &mut PinnedScheduler);
+    let nulled = execute(
+        &program,
+        &platform,
+        &mut PinnedScheduler,
+        &RunSpec::plain(),
+        None,
+        &mut null,
+        None,
+    )
+    .unwrap();
+    let mut trace_only = TraceObserver::new();
+    let traced_report = execute(
+        &program,
+        &platform,
+        &mut PinnedScheduler,
+        &RunSpec::plain(),
+        None,
+        &mut trace_only,
+        None,
+    )
+    .unwrap();
+    let trace = trace_only.into_trace();
     let mut metrics = MetricsObserver::new(&platform, "SP-Single");
     let mut tracer = TraceObserver::new();
     let multi_report = {
         let mut multi = MultiObserver::new().with(&mut metrics).with(&mut tracer);
-        simulate_observed(&program, &platform, &mut PinnedScheduler, &mut multi)
+        execute(
+            &program,
+            &platform,
+            &mut PinnedScheduler,
+            &RunSpec::plain(),
+            None,
+            &mut multi,
+            None,
+        )
+        .unwrap()
     };
     for other in [&nulled, &traced_report, &multi_report] {
         assert_eq!(other.makespan, plain.makespan);
@@ -129,7 +162,16 @@ fn exports_are_byte_deterministic_across_replays() {
         let mut tracer = TraceObserver::new();
         {
             let mut multi = MultiObserver::new().with(&mut metrics).with(&mut tracer);
-            simulate_observed(&program, &platform, &mut PinnedScheduler, &mut multi);
+            execute(
+                &program,
+                &platform,
+                &mut PinnedScheduler,
+                &RunSpec::plain(),
+                None,
+                &mut multi,
+                None,
+            )
+            .unwrap();
         }
         let registry = metrics.into_registry();
         (
@@ -156,7 +198,16 @@ fn observability_types_roundtrip_through_json() {
         .plan(&desc, ExecutionConfig::Strategy(Strategy::SpSingle))
         .program;
     let mut metrics = MetricsObserver::new(&platform, "SP-Single");
-    let report = simulate_observed(&program, &platform, &mut PinnedScheduler, &mut metrics);
+    let report = execute(
+        &program,
+        &platform,
+        &mut PinnedScheduler,
+        &RunSpec::plain(),
+        None,
+        &mut metrics,
+        None,
+    )
+    .unwrap();
 
     let json = serde_json::to_string(&report.breakdown).unwrap();
     let back: TimeBreakdown = serde_json::from_str(&json).unwrap();
@@ -210,7 +261,9 @@ fn span_tree_tiles_capacity_against_blame_for_whole_corpus() {
     for desc in paper_apps() {
         for (config, _) in analyzer.compare_all(&desc) {
             let mut tobs = TraceObserver::new();
-            let report = analyzer.simulate_observed(&desc, config, &mut tobs);
+            let report = analyzer
+                .execute(&desc, config, &RunSpec::plain(), &mut tobs, None)
+                .unwrap();
             let tree = SpanTree::from_trace(tobs.trace(), &platform);
             assert_eq!(tree.end, report.makespan, "{} under {config}", desc.name);
             for (d, s) in tree.device_span_seconds().iter().enumerate() {
@@ -326,10 +379,15 @@ fn stream_fold_equivalence_across_all_run_modes() {
             ),
         ),
     ];
-    for (what, spec) in specs {
-        let (_, obs) = analyzer
-            .simulate_streamed(&desc, config, &spec)
+    let streamed = |what: &str, spec: &RunSpec| {
+        let mut obs = SnapshotObserver::new(&platform, STREAM_STRATEGY_LABEL);
+        analyzer
+            .execute(&desc, config, spec, &mut obs, None)
             .unwrap_or_else(|e| panic!("{what}: streamed run failed: {e}"));
+        obs
+    };
+    for (what, spec) in specs {
+        let obs = streamed(what, &spec);
         assert!(
             obs.lines().len() >= 2,
             "{what}: expected per-epoch lines plus the run-end line"
@@ -342,7 +400,7 @@ fn stream_fold_equivalence_across_all_run_modes() {
             "{what}: folded stream must reproduce the registry byte-for-byte"
         );
         // The stream itself is byte-deterministic across replays.
-        let (_, again) = analyzer.simulate_streamed(&desc, config, &spec).unwrap();
+        let again = streamed(what, &spec);
         assert_eq!(obs.stream(), again.stream(), "{what}: stream must replay");
     }
 }
@@ -379,13 +437,7 @@ proptest! {
         prop_assert_eq!(healthy.breakdown.makespan, healthy.makespan);
         let schedule =
             FaultSchedule::new(seed).with_task_faults(None, 0.1, SimTime::ZERO, SimTime::MAX);
-        let faulty = analyzer.simulate_resilient(
-            &desc,
-            config,
-            &schedule,
-            RetryPolicy::default(),
-            &HealthConfig::disabled(),
-        );
+        let faulty = analyzer.execute(&desc, config, &RunSpec::resilient(schedule.clone(), HealthConfig::disabled()), &mut NullObserver, None).unwrap();
         prop_assert!(faulty.breakdown.identity_holds());
     }
 
@@ -415,7 +467,7 @@ proptest! {
         }
         let mut tobs = TraceObserver::new();
         let report = if fault_prob == 0.0 {
-            analyzer.simulate_observed(desc, config, &mut tobs)
+            analyzer.execute(desc, config, &RunSpec::plain(), &mut tobs, None).unwrap()
         } else {
             let schedule = FaultSchedule::new(seed)
                 .with_task_faults(None, fault_prob, SimTime::ZERO, SimTime::MAX);

@@ -11,11 +11,23 @@ use hetero_match::platform::{
     DeviceId, Efficiency, FaultSchedule, KernelProfile, Platform, Precision, RetryPolicy, SimTime,
 };
 use hetero_match::runtime::{
-    simulate, simulate_faulty, simulate_resilient, simulate_resilient_traced, simulate_traced,
-    Access, BreakerConfig, HealthConfig, PinnedScheduler, Program, Region, RunReport, TraceEvent,
-    VerificationPolicy, WatchdogConfig,
+    execute, simulate, simulate_resilient, Access, BreakerConfig, HealthConfig, NullObserver,
+    PinnedScheduler, Program, Region, RunReport, RunSpec, Scheduler, Trace, TraceEvent,
+    TraceObserver, VerificationPolicy, WatchdogConfig,
 };
 use proptest::prelude::*;
+
+/// One run of `spec` with its execution trace recorded.
+fn traced(
+    program: &Program,
+    platform: &Platform,
+    scheduler: &mut dyn Scheduler,
+    spec: &RunSpec,
+) -> (RunReport, Trace) {
+    let mut obs = TraceObserver::new();
+    let report = execute(program, platform, scheduler, spec, None, &mut obs, None).unwrap();
+    (report, obs.into_trace())
+}
 
 fn compute_app(n: u64) -> hetero_match::matchmaker::AppDescriptor {
     hetero_match::apps::synth::single_kernel(
@@ -89,12 +101,13 @@ fn retry_exhaustion_fails_over_to_survivor() {
         SimTime::ZERO,
         SimTime::MAX,
     );
-    let report = simulate_faulty(
+    let report = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
 
     assert_eq!(total_items(&report), n, "every item processed exactly once");
@@ -127,12 +140,13 @@ fn all_device_faults_end_in_safe_mode() {
     // budget runs out with nowhere left to go, and safe mode must step in
     // to guarantee termination.
     let schedule = FaultSchedule::new(12).with_task_faults(None, 1.0, SimTime::ZERO, SimTime::MAX);
-    let report = simulate_faulty(
+    let report = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
 
     assert_eq!(total_items(&report), n);
@@ -151,12 +165,13 @@ fn gpu_dropout_mid_run_completes_on_cpu() {
     // in-flight partition with it.
     let at = SimTime::from_secs_f64(healthy.makespan.as_secs_f64() / 2.0);
     let schedule = FaultSchedule::new(13).with_dropout(DeviceId(1), at);
-    let report = simulate_faulty(
+    let report = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
 
     assert_eq!(report.faults.device_dropouts, 1);
@@ -173,12 +188,13 @@ fn gpu_dropout_mid_run_completes_on_cpu() {
         healthy.makespan
     );
     // Identical schedule, identical replay.
-    let again = simulate_faulty(
+    let again = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
     assert_eq!(again.makespan, report.makespan);
     assert_eq!(again.faults, report.faults);
@@ -223,7 +239,7 @@ fn committed_epochs_survive_dropout() {
         b.build()
     };
     let program = build();
-    let (healthy, trace) = simulate_traced(&program, &platform, &mut PinnedScheduler);
+    let (healthy, trace) = traced(&program, &platform, &mut PinnedScheduler, &RunSpec::plain());
 
     // Drop the GPU midway between epoch 1's commit (its flush completing)
     // and the end of the run — i.e. somewhere inside epoch 2.
@@ -240,12 +256,13 @@ fn committed_epochs_survive_dropout() {
         (epoch1_committed.as_secs_f64() + healthy.makespan.as_secs_f64()) / 2.0,
     );
     let schedule = FaultSchedule::new(14).with_dropout(DeviceId(1), at);
-    let report = simulate_faulty(
+    let report = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
 
     assert_eq!(report.faults.device_dropouts, 1);
@@ -288,7 +305,7 @@ fn dropout_with_inflight_consumer_of_reset_producer() {
     );
     let program = b.build();
 
-    let (healthy, trace) = simulate_traced(&program, &platform, &mut PinnedScheduler);
+    let (healthy, trace) = traced(&program, &platform, &mut PinnedScheduler, &RunSpec::plain());
     let task_ends: Vec<SimTime> = trace
         .events
         .iter()
@@ -305,12 +322,13 @@ fn dropout_with_inflight_consumer_of_reset_producer() {
     let at =
         SimTime::from_secs_f64((producer_end.as_secs_f64() + consumer_end.as_secs_f64()) / 2.0);
     let schedule = FaultSchedule::new(15).with_dropout(DeviceId(1), at);
-    let report = simulate_faulty(
+    let report = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
 
     assert_eq!(report.faults.device_dropouts, 1);
@@ -327,12 +345,13 @@ fn dropout_with_inflight_consumer_of_reset_producer() {
     assert_eq!(report.counters.devices[0].items, 2000);
     assert!(report.makespan >= healthy.makespan);
     // Identical schedule, identical replay.
-    let again = simulate_faulty(
+    let again = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
     assert_eq!(again.makespan, report.makespan);
     assert_eq!(again.faults, report.faults);
@@ -350,12 +369,13 @@ fn throttle_ramp_lengthens_makespan_end_to_end() {
     let until = SimTime::from_secs_f64(2.0 * healthy.makespan.as_secs_f64());
     let schedule =
         FaultSchedule::new(31).with_throttle(DeviceId(1), SimTime::ZERO, until, 1.0, 8.0);
-    let report = simulate_faulty(
+    let report = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
 
     assert_eq!(total_items(&report), n, "throttling never loses work");
@@ -370,22 +390,24 @@ fn throttle_ramp_lengthens_makespan_end_to_end() {
     // A steeper ramp is strictly worse.
     let steeper =
         FaultSchedule::new(31).with_throttle(DeviceId(1), SimTime::ZERO, until, 1.0, 16.0);
-    let worse = simulate_faulty(
+    let worse = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &steeper,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
     assert!(worse.makespan > report.makespan);
 
     // Identical schedule, identical replay.
-    let again = simulate_faulty(
+    let again = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
     assert_eq!(again.makespan, report.makespan);
 }
@@ -419,20 +441,19 @@ fn hedging_beats_fail_stop_executor_on_mid_run_straggler() {
     let mid = SimTime::from_secs_f64(healthy.makespan.as_secs_f64() / 2.0);
     let schedule = FaultSchedule::new(41).with_throttle(DeviceId(1), mid, SimTime::MAX, 4.0, 4.0);
 
-    let fail_stop = simulate_faulty(
+    let fail_stop = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
-    let (hedged, trace) = simulate_resilient_traced(
+    let (hedged, trace) = traced(
         &program,
         &platform,
         &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &hedging_only(),
+        &RunSpec::resilient(schedule.clone(), hedging_only()),
     );
 
     assert_eq!(total_items(&fail_stop), 4 * per_task);
@@ -513,12 +534,13 @@ fn dup_check_detects_silent_corruption_and_recommits_clean() {
 
     // Fail-stop baseline: nothing ever faults, so the corruption commits
     // silently — the run "succeeds" with wrong results.
-    let silent = simulate_faulty(
+    let silent = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
     assert_eq!(silent.health.corruptions_detected, 0);
     assert!(silent.health.corruptions_injected >= 1);
@@ -705,20 +727,8 @@ proptest! {
                 1.0,
                 4.0,
             );
-        let a = simulate_faulty(
-            &program,
-            &platform,
-            &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-        );
-        let b = simulate_faulty(
-            &program,
-            &platform,
-            &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-        );
+        let a = simulate_resilient(&program, &platform, &mut PinnedScheduler, &schedule, RetryPolicy::default(), &HealthConfig::disabled());
+        let b = simulate_resilient(&program, &platform, &mut PinnedScheduler, &schedule, RetryPolicy::default(), &HealthConfig::disabled());
         prop_assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
@@ -746,26 +756,12 @@ proptest! {
             .with_flaky(DeviceId(1), flaky_prob, SimTime::ZERO, until)
             .with_silent_corruption(DeviceId(1), corrupt_prob, SimTime::ZERO, until);
         prop_assert!(schedule.validate().is_ok());
-        let health = HealthConfig::monitored();
-        let (a, ta) = simulate_resilient_traced(
-            &program,
-            &platform,
-            &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-            &health,
-        );
+        let spec = RunSpec::resilient(schedule, HealthConfig::monitored());
+        let (a, ta) = traced(&program, &platform, &mut PinnedScheduler, &spec);
         prop_assert_eq!(total_items(&a), 1 << 14);
         prop_assert!(a.makespan > SimTime::ZERO);
         prop_assert!(a.health.corruptions_detected <= a.health.corruptions_injected);
-        let (b, tb) = simulate_resilient_traced(
-            &program,
-            &platform,
-            &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-            &health,
-        );
+        let (b, tb) = traced(&program, &platform, &mut PinnedScheduler, &spec);
         prop_assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
@@ -783,7 +779,7 @@ proptest! {
 /// span is closed at the makespan.
 #[test]
 fn death_while_quarantined_keeps_circuit_open() {
-    use hetero_match::runtime::{simulate_repairing, AdaptConfig, ReplanConfig};
+    use hetero_match::runtime::{AdaptConfig, ReplanConfig};
     let platform = Platform::test_small();
     let per_task = 1000u64;
     // Same shape as the breaker-reclose test: epoch 1 trips the breaker
@@ -840,17 +836,21 @@ fn death_while_quarantined_keeps_circuit_open() {
         }),
         ..HealthConfig::disabled()
     };
-    let report = simulate_repairing(
+    let report = execute(
         &program,
         &platform,
         &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &health,
-        &AdaptConfig::disabled(),
+        &RunSpec::repairing(
+            schedule.clone(),
+            health,
+            AdaptConfig::disabled(),
+            ReplanConfig::enabled_default(),
+        ),
         None,
-        &ReplanConfig::enabled_default(),
-    );
+        &mut NullObserver,
+        None,
+    )
+    .unwrap();
 
     assert_eq!(total_items(&report), 28 * per_task);
     assert_eq!(report.health.circuit_opens, 1, "{:?}", report.health);
@@ -882,17 +882,21 @@ fn death_while_quarantined_keeps_circuit_open() {
     );
 
     // Identical schedule, identical replay.
-    let again = simulate_repairing(
+    let again = execute(
         &program,
         &platform,
         &mut PinnedScheduler,
-        &schedule,
-        RetryPolicy::default(),
-        &health,
-        &AdaptConfig::disabled(),
+        &RunSpec::repairing(
+            schedule.clone(),
+            health,
+            AdaptConfig::disabled(),
+            ReplanConfig::enabled_default(),
+        ),
         None,
-        &ReplanConfig::enabled_default(),
-    );
+        &mut NullObserver,
+        None,
+    )
+    .unwrap();
     assert_eq!(again.makespan, report.makespan);
     assert_eq!(again.health, report.health);
     assert_eq!(again.adapt, report.adapt);
@@ -912,7 +916,7 @@ proptest! {
         flaky_prob in 0.0f64..=1.0,
         drop_dev in 1usize..=2,
     ) {
-        use hetero_match::runtime::{simulate_repairing_traced, AdaptConfig, ReplanConfig};
+        use hetero_match::runtime::{AdaptConfig, ReplanConfig};
         let platform = Platform::icpp15_with_phi();
         let desc = compute_app(1 << 16);
         let planner = Planner::new(&platform);
@@ -934,17 +938,25 @@ proptest! {
             }),
             ..HealthConfig::disabled()
         };
-        let (report, trace) = simulate_repairing_traced(
+        let spec = RunSpec::repairing(
+            schedule,
+            health,
+            AdaptConfig::disabled(),
+            ReplanConfig::enabled_default(),
+        );
+        let mut tobs = TraceObserver::new();
+        let adapt_plan = planner.adapt_plan(&desc, config);
+        let report = execute(
             &plan.program,
             &platform,
             &mut PinnedScheduler,
-            &schedule,
-            RetryPolicy::default(),
-            &health,
-            &AdaptConfig::disabled(),
-            planner.adapt_plan(&desc, config),
-            &ReplanConfig::enabled_default(),
-        );
+            &spec,
+            adapt_plan,
+            &mut tobs,
+            None,
+        )
+        .unwrap();
+        let trace = tobs.into_trace();
         let ndev = platform.devices.len();
         let mut death: Vec<Option<SimTime>> = vec![None; ndev];
         let mut open_at: Vec<Option<SimTime>> = vec![None; ndev];

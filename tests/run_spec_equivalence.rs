@@ -155,7 +155,7 @@ impl AnyObs {
 
 /// One unjournaled run through the analyzer's run entries: the report, or
 /// the replan error a repairing run gave up with. The null observer takes
-/// the unobserved entry points.
+/// the fault-free entry point where one exists.
 fn run(
     analyzer: &Analyzer,
     desc: &AppDescriptor,
@@ -163,76 +163,17 @@ fn run(
     spec: &RunSpec,
     obs: &mut AnyObs,
 ) -> Result<RunReport, String> {
-    let policy = spec.policy;
-    let schedule = || {
-        spec.schedule
-            .as_ref()
-            .expect("faulty modes carry a schedule")
+    let report = match (spec.mode, obs) {
+        (RunMode::Plain, AnyObs::Null(_)) => analyzer.simulate(desc, config),
+        (_, obs) => analyzer
+            .execute(desc, config, spec, obs.as_dyn(), None)
+            .unwrap_or_else(|e| panic!("{config} {:?}: {e}", spec.mode)),
     };
-    let (health, adapt, replan) = (&spec.health, &spec.adapt, &spec.replan);
-    let off = HealthConfig::disabled();
-    let repaired = match (spec.mode, obs) {
-        (RunMode::Plain, AnyObs::Null(_)) => return Ok(analyzer.simulate(desc, config)),
-        (RunMode::Plain, obs) => return Ok(analyzer.simulate_observed(desc, config, obs.as_dyn())),
-        (RunMode::Faulty, AnyObs::Null(_)) => {
-            return Ok(analyzer.simulate_faulty(desc, config, schedule(), policy))
-        }
-        (RunMode::Faulty, obs) => {
-            return Ok(analyzer.simulate_resilient_observed(
-                desc,
-                config,
-                schedule(),
-                policy,
-                &off,
-                obs.as_dyn(),
-            ))
-        }
-        (RunMode::Resilient, AnyObs::Null(_)) => {
-            return Ok(analyzer.simulate_resilient(desc, config, schedule(), policy, health))
-        }
-        (RunMode::Resilient, obs) => {
-            return Ok(analyzer.simulate_resilient_observed(
-                desc,
-                config,
-                schedule(),
-                policy,
-                health,
-                obs.as_dyn(),
-            ))
-        }
-        (RunMode::Adaptive, AnyObs::Null(_)) => {
-            return Ok(analyzer.simulate_adaptive(desc, config, schedule(), policy, health, adapt))
-        }
-        (RunMode::Adaptive, obs) => {
-            return Ok(analyzer.simulate_adaptive_observed(
-                desc,
-                config,
-                schedule(),
-                policy,
-                health,
-                adapt,
-                obs.as_dyn(),
-            ))
-        }
-        (RunMode::Repairing, AnyObs::Null(_)) => {
-            analyzer.simulate_repairing(desc, config, schedule(), policy, health, adapt, replan)
-        }
-        (RunMode::Repairing, obs) => analyzer.simulate_repairing_observed(
-            desc,
-            config,
-            schedule(),
-            policy,
-            health,
-            adapt,
-            replan,
-            obs.as_dyn(),
-        ),
-    };
-    repaired.map_err(|e| format!("{e:?}"))
+    outcome(report)
 }
 
-/// A journaled run's outcome in the same form as [`run`]'s.
-fn journaled(report: RunReport) -> Result<RunReport, String> {
+/// A run's outcome: the report, or the replan error it gave up with.
+fn outcome(report: RunReport) -> Result<RunReport, String> {
     match &report.adapt.replan_error {
         Some(e) => Err(format!("{e:?}")),
         None => Ok(report),
@@ -253,9 +194,9 @@ fn every_run_path_matches_the_pinned_digests() {
             for config in configs(&analyzer, &desc) {
                 for kind in ObsKind::ALL {
                     let mut obs = AnyObs::new(kind, &platform);
-                    let outcome = run(&analyzer, &desc, config, &spec, &mut obs);
+                    let unjournaled = run(&analyzer, &desc, config, &spec, &mut obs);
                     let export = obs.export();
-                    if let Ok(report) = &outcome {
+                    if let Ok(report) = &unjournaled {
                         fired[0] |= report.faults.task_retries > 0;
                         fired[1] |= report.health.hedges_issued > 0;
                         fired[2] |= report.adapt.repartitions > 0 || report.adapt.escalated;
@@ -266,14 +207,14 @@ fn every_run_path_matches_the_pinned_digests() {
                     let mut sink = JournalSink::record();
                     let journaled_outcome = analyzer
                         .simulate_journaled_observed(&desc, config, &spec, &mut sink, jobs.as_dyn())
-                        .map(journaled)
+                        .map(outcome)
                         .unwrap_or_else(|e| panic!("{label} {config} {:?}: {e}", spec.mode));
                     let case = format!("{label} {:?} {config} {}", spec.mode, kind.name());
                     let digest = |o: &Result<RunReport, String>| match o {
                         Ok(r) => format!("{:016x}", fnv1a(report_digest(r).as_bytes())),
                         Err(e) => format!("replan-error:{e}"),
                     };
-                    let report_line = digest(&outcome);
+                    let report_line = digest(&unjournaled);
                     assert_eq!(
                         digest(&journaled_outcome),
                         report_line,

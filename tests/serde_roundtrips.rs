@@ -4,15 +4,15 @@
 
 use hetero_match::apps::{blackscholes, stream, synth};
 use hetero_match::matchmaker::{
-    Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, Planner, Strategy,
+    Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, Planner, RunSpec, Strategy,
 };
 use hetero_match::platform::{
     DeviceId, FaultCounters, FaultSchedule, FaultTrace, Platform, RetryPolicy, SimTime,
 };
 use hetero_match::runtime::{
-    simulate_faulty, simulate_resilient, simulate_traced, AdaptConfig, AdaptReport, BreakerConfig,
-    HealthConfig, HealthReport, PinnedScheduler, Program, RunReport, Trace, VerificationPolicy,
-    WatchdogConfig,
+    execute, simulate_resilient, AdaptConfig, AdaptReport, BreakerConfig, HealthConfig,
+    HealthReport, NullObserver, PinnedScheduler, Program, RunReport, Trace, TraceObserver,
+    VerificationPolicy, WatchdogConfig,
 };
 
 #[test]
@@ -87,7 +87,19 @@ fn trace_roundtrips_and_chrome_export_parses() {
     let program = planner
         .plan(&desc, ExecutionConfig::Strategy(Strategy::SpSingle))
         .program;
-    let (_, trace) = simulate_traced(&program, &platform, &mut PinnedScheduler);
+    let mut tobs = TraceObserver::new();
+    let spec = RunSpec::plain();
+    execute(
+        &program,
+        &platform,
+        &mut PinnedScheduler,
+        &spec,
+        None,
+        &mut tobs,
+        None,
+    )
+    .unwrap();
+    let trace = tobs.into_trace();
     assert!(!trace.events.is_empty());
 
     let json = serde_json::to_string(&trace).unwrap();
@@ -218,7 +230,9 @@ fn fault_trace_roundtrips_and_replays() {
             0.5,
             SimTime::from_millis(2),
         );
-    let (report, trace) = analyzer.record_fault_trace(&desc, config, &schedule, policy);
+    let (report, trace) = analyzer
+        .record_fault_trace(&desc, config, &schedule, policy)
+        .unwrap();
     assert!(report.faults.correlated_triggers > 0);
     assert_eq!(
         trace.synthesized.len() as u64,
@@ -233,7 +247,18 @@ fn fault_trace_roundtrips_and_replays() {
 
     // Replaying the parsed trace reproduces the recorded run without any
     // live conditional triggering.
-    let replay = analyzer.simulate_faulty(&desc, config, &back.replay_schedule(), policy);
+    let replay = analyzer
+        .execute(
+            &desc,
+            config,
+            &RunSpec {
+                policy,
+                ..RunSpec::faulty(back.replay_schedule())
+            },
+            &mut NullObserver,
+            None,
+        )
+        .unwrap();
     assert_eq!(replay.makespan, report.makespan);
     assert_eq!(replay.breakdown, report.breakdown);
     assert_eq!(replay.faults.task_faults, report.faults.task_faults);
@@ -250,12 +275,13 @@ fn faulty_report_and_counters_roundtrip() {
         .program;
     let schedule =
         FaultSchedule::new(9).with_task_faults(Some(DeviceId(1)), 1.0, SimTime::ZERO, SimTime::MAX);
-    let report = simulate_faulty(
+    let report = simulate_resilient(
         &program,
         &platform,
         &mut PinnedScheduler,
         &schedule,
         RetryPolicy::default(),
+        &HealthConfig::disabled(),
     );
     assert!(report.faults.faults_injected() > 0);
 
@@ -334,14 +360,19 @@ fn adapt_config_and_report_roundtrip() {
     );
     let schedule =
         FaultSchedule::new(11).with_profile_perturb(DeviceId(1), 0.5, SimTime::ZERO, SimTime::MAX);
-    let report = analyzer.simulate_adaptive(
-        &desc,
-        ExecutionConfig::Strategy(Strategy::SpSingle),
-        &schedule,
-        RetryPolicy::default(),
-        &HealthConfig::disabled(),
-        &AdaptConfig::enabled_default(),
-    );
+    let report = analyzer
+        .execute(
+            &desc,
+            ExecutionConfig::Strategy(Strategy::SpSingle),
+            &RunSpec::adaptive(
+                schedule.clone(),
+                HealthConfig::disabled(),
+                AdaptConfig::enabled_default(),
+            ),
+            &mut NullObserver,
+            None,
+        )
+        .unwrap();
     assert!(report.adapt.barriers_observed > 0);
     let json = serde_json::to_string(&report).unwrap();
     let back: RunReport = serde_json::from_str(&json).unwrap();
@@ -412,18 +443,16 @@ fn replan_types_and_repairing_report_roundtrip() {
     let analyzer = Analyzer::new(&platform);
     let schedule = FaultSchedule::new(7).with_dropout(DeviceId(1), SimTime::from_micros(100));
     let mut obs = hetero_match::runtime::TraceObserver::new();
+    let spec = RunSpec::repairing(
+        schedule,
+        HealthConfig::disabled(),
+        AdaptConfig::disabled(),
+        ReplanConfig::enabled_default(),
+    );
     let report = analyzer
-        .simulate_repairing_observed(
-            &desc,
-            config,
-            &schedule,
-            RetryPolicy::default(),
-            &HealthConfig::disabled(),
-            &AdaptConfig::disabled(),
-            &ReplanConfig::enabled_default(),
-            &mut obs,
-        )
+        .execute(&desc, config, &spec, &mut obs, None)
         .unwrap();
+    assert_eq!(report.adapt.replan_error, None);
     assert!(report.adapt.replans >= 1, "the dropout must trigger repair");
     let rj = serde_json::to_string(&report).unwrap();
     let rb: RunReport = serde_json::from_str(&rj).unwrap();
