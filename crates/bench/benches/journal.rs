@@ -6,42 +6,10 @@
 //! machine-readable `BENCH_8.json` at the workspace root — the first
 //! point of the `BENCH_*.json` perf trajectory ROADMAP.md asks for.
 
-use std::hint::black_box;
-use std::path::Path;
-use std::time::Instant;
-
+use bench::trajectory::{measure, BenchFile, BenchResult};
 use hetero_apps::stream;
 use hetero_platform::{KillSchedule, Platform};
 use matchmaker::{Analyzer, ExecutionConfig, JournalSink, RunJournal, RunSpec, Strategy};
-use serde::Serialize;
-
-/// Mean wall-clock nanoseconds per call over `samples` calls (after one
-/// warm-up call), in the same spirit as the vendored criterion stand-in.
-fn measure<O, F: FnMut() -> O>(samples: u32, mut f: F) -> f64 {
-    black_box(f());
-    let start = Instant::now();
-    for _ in 0..samples {
-        black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(samples)
-}
-
-#[derive(Serialize)]
-struct BenchResult {
-    name: String,
-    mean_ns: f64,
-    /// Logical units processed per call (records, bytes, ...).
-    units: u64,
-    unit: &'static str,
-}
-
-#[derive(Serialize)]
-struct BenchFile {
-    pr: u32,
-    bench: &'static str,
-    samples: u32,
-    results: Vec<BenchResult>,
-}
 
 fn main() {
     const SAMPLES: u32 = 20;
@@ -124,8 +92,5 @@ fn main() {
         samples: SAMPLES,
         results,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_8.json");
-    std::fs::write(&path, serde_json::to_string_pretty(&out).unwrap() + "\n")
-        .expect("write BENCH_8.json");
-    eprintln!("wrote {}", path.display());
+    eprintln!("wrote {}", out.write().display());
 }

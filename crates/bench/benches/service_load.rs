@@ -4,30 +4,12 @@
 //! (virtual time) and wall-clock throughput as `BENCH_10.json` at the
 //! workspace root — the acceptance run for the `shed-or-serve` oracle.
 
-use std::path::Path;
 use std::time::Instant;
 
+use bench::trajectory::{BenchFile, BenchResult};
 use hetero_platform::{Platform, SimTime};
 use hetero_runtime::LogHistogram;
 use matchmaker::{check_shed_or_serve, run_load, ChaosSchedule, LoadConfig, ServiceConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct BenchResult {
-    name: String,
-    mean_ns: f64,
-    /// Logical units behind the number (requests answered, shed, ...).
-    units: u64,
-    unit: &'static str,
-}
-
-#[derive(Serialize)]
-struct BenchFile {
-    pr: u32,
-    bench: &'static str,
-    samples: u32,
-    results: Vec<BenchResult>,
-}
 
 fn main() {
     const REQUESTS: u64 = 100_000;
@@ -105,8 +87,5 @@ fn main() {
         samples: 1,
         results,
     };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_10.json");
-    std::fs::write(&path, serde_json::to_string_pretty(&out).unwrap() + "\n")
-        .expect("write BENCH_10.json");
-    eprintln!("wrote {}", path.display());
+    eprintln!("wrote {}", out.write().display());
 }

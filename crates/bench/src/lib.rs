@@ -13,12 +13,15 @@
 //! * [`validation`] — the empirical Table I ranking check with the paper's
 //!   own tolerance for "no visible difference" ties, and the documented
 //!   deviations.
+//! * [`trajectory`] — the timing loop and `BENCH_*.json` schema shared by
+//!   the perf-trajectory benches.
 //!
 //! Run `cargo run --release -p bench --bin repro -- all` to regenerate
 //! everything.
 
 pub mod experiments;
 pub mod report;
+pub mod trajectory;
 pub mod validation;
 
 pub use experiments::{

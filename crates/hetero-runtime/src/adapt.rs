@@ -18,14 +18,18 @@
 //!    second, folding transfer and queueing effects into an effective
 //!    rate) are fed back into Glinda through
 //!    [`glinda::resolve_with_observations`], which warm-starts from the
-//!    prior split; the corrected split then re-pins the remaining epochs'
-//!    statically placed tasks (whole task chunks move — region splits are
-//!    baked into the plan, so the granularity is one chunk), with the
-//!    chunk assignment chosen to minimise a slot-quantised predicted
-//!    epoch wall at the observed rates (equal chunks run in waves over a
-//!    device's slots, which a continuous item target cannot see). A
-//!    no-regression guard keeps the old placement when the model predicts
-//!    no improvement.
+//!    prior split. SP-Single re-solves the plan's problem at the closing
+//!    epoch's aggregate rates; a multi-kernel SP-Varied plan
+//!    ([`AdaptPlan::per_kernel`]) re-solves each epoch's own kernel at that
+//!    kernel's rates. The remaining epochs' statically placed tasks are
+//!    then re-pinned (whole task chunks move — region splits are baked
+//!    into the plan, so the granularity is one chunk) by the executor's
+//!    one two-way prefix sweep, which reinstatement shares: it picks the
+//!    "biggest chunks to the GPU" split with the smallest slot-quantised
+//!    (LPT wave) wall at the observed rates — equal chunks run in waves
+//!    over a device's slots, which a continuous item target cannot see.
+//!    A no-regression guard keeps the old placement when the model
+//!    predicts no improvement.
 //! 3. **Escalate** — if [`AdaptConfig::max_resolves`] consecutive
 //!    corrections still miss [`AdaptConfig::balance_target`], the static
 //!    plan is abandoned for its dynamic sibling: remaining statically

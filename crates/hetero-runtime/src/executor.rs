@@ -97,7 +97,9 @@
 //! observation window — the detector is a heuristic over committed work,
 //! not an audit trail.
 
-use crate::adapt::{AdaptConfig, AdaptPlan, AdaptReport, ReplanConfig, ReplanError};
+use crate::adapt::{
+    AdaptConfig, AdaptPlan, AdaptReport, KernelAdaptPlan, ReplanConfig, ReplanError,
+};
 use crate::coherence::CoherenceDir;
 use crate::graph::TaskGraph;
 use crate::health::{BreakerState, HealthConfig, HealthReport, QuarantineSpan, VerificationPolicy};
@@ -108,7 +110,7 @@ use crate::scheduler::{BindCtx, PerfScheduler, RateObservation, Scheduler};
 use crate::spec::{RunMode, RunSpec};
 use crate::stats::{KernelStats, RunReport};
 use crate::trace::TraceEvent;
-use glinda::{MultiDeviceProblem, MultiSolution};
+use glinda::{MultiDeviceProblem, MultiSolution, PartitionSolution};
 use hetero_platform::{
     DeviceId, EventQueue, FaultCounters, FaultEvent, FaultRng, FaultSchedule, MemSpaceId, Platform,
     PlatformCounters, RetryPolicy, SimTime,
@@ -479,6 +481,30 @@ struct AdaptCtx {
     last_barrier_at: SimTime,
 }
 
+impl AdaptCtx {
+    /// `dev`'s observed rate over the closing epoch.
+    fn epoch_rate(&self, platform: &Platform, dev: DeviceId) -> Option<f64> {
+        let secs = self.epoch_busy[dev.0].as_secs_f64();
+        observed_rate(platform, dev, self.epoch_items[dev.0] as f64, secs)
+    }
+
+    /// `dev`'s observed rate over the run so far, all kernels summed.
+    fn cumulative_rate(&self, platform: &Platform, dev: DeviceId) -> Option<f64> {
+        let (mut items, mut secs) = (0.0f64, 0.0f64);
+        for (_, o) in self.obs.iter().filter(|((_, d), _)| *d == dev) {
+            items += o.items;
+            secs += o.secs;
+        }
+        observed_rate(platform, dev, items, secs)
+    }
+
+    /// One kernel's observed rate on `dev` over the run so far.
+    fn kernel_rate(&self, platform: &Platform, kernel: KernelId, dev: DeviceId) -> Option<f64> {
+        let o = self.obs.get(&(kernel, dev))?;
+        observed_rate(platform, dev, o.items, o.secs)
+    }
+}
+
 /// Mutable plan-repair state, present only when an enabled
 /// [`ReplanConfig`] was supplied (see [`RunMode::Repairing`]).
 struct ReplanCtx {
@@ -498,6 +524,119 @@ struct ReplanCtx {
     /// Per device: cumulative committed slot-busy seconds (pairs with
     /// `obs_items`; whole-device rate = items × slots / busy).
     obs_secs: Vec<f64>,
+}
+
+/// Observed whole-device throughput: `items` committed in `secs` of
+/// slot-busy time, spread over `dev`'s slots (items per second of wall
+/// time, transfers and overheads folded in). `None` until both are
+/// positive.
+fn observed_rate(platform: &Platform, dev: DeviceId, items: f64, secs: f64) -> Option<f64> {
+    let slots = platform.device(dev).spec.kind.slots() as f64;
+    (secs > 0.0 && items > 0.0).then(|| items * slots / secs)
+}
+
+/// The slot-quantised LPT "wave" model of one device's predicted
+/// schedule. Each chunk lands on the least-loaded slot (the executor's
+/// least-loaded dispatch, fed longest first), so equal-size chunks run in
+/// waves: 24 and 17 chunks on 12 threads are both two waves, which an
+/// item-count target cannot see.
+struct Waves(Vec<f64>);
+
+impl Waves {
+    fn new(slots: usize) -> Self {
+        Waves(vec![0.0; slots.max(1)])
+    }
+
+    /// The wall of `times` dispatched in order over `slots`.
+    fn wall_of(times: impl IntoIterator<Item = f64>, slots: usize) -> f64 {
+        let mut waves = Waves::new(slots);
+        for t in times {
+            waves.push(t);
+        }
+        waves.wall()
+    }
+
+    fn push(&mut self, t: f64) {
+        let slot = self
+            .0
+            .iter_mut()
+            .min_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal))
+            .unwrap();
+        *slot += t;
+    }
+
+    /// When the first slot frees up.
+    fn earliest_free(&self) -> f64 {
+        self.0.iter().fold(f64::INFINITY, |m, &v| m.min(v))
+    }
+
+    /// When the last slot finishes.
+    fn wall(&self) -> f64 {
+        self.0.iter().fold(0.0, |m, &v| m.max(v))
+    }
+}
+
+/// An epoch's statically placed chunks as `(task, items, current home)`:
+/// the controller's override, else the plan's pin. Dynamically bound
+/// tasks are skipped.
+fn pinned_chunks(
+    epoch: &[TaskId],
+    override_of: &[Option<DeviceId>],
+    tasks: &[&TaskDesc],
+) -> Vec<(TaskId, u64, DeviceId)> {
+    epoch
+        .iter()
+        .filter_map(|&t| Some((t, tasks[t.0].items, override_of[t.0].or(tasks[t.0].pinned)?)))
+        .collect()
+}
+
+/// The two-way prefix sweep behind every barrier re-pin (repartitioning
+/// and reinstatement). A corrected split always offloads a contiguous
+/// "biggest chunks" share, so the chunks are sorted longest first (ties by
+/// `TaskId`); for each prefix split `j` the GPU side takes the first `j`
+/// and the host the rest, each side's [`Waves`] wall is priced through
+/// `gpu_secs` / `cpu_secs`, and the smallest wall wins. An exact tie draws
+/// one coin from `rng`. Returns that wall and the chunks whose device
+/// changes, with their destination (`gpu` or the host).
+fn prefix_sweep(
+    chunks: &[(TaskId, u64, DeviceId)],
+    platform: &Platform,
+    gpu: DeviceId,
+    gpu_secs: impl Fn(&(TaskId, u64, DeviceId)) -> f64,
+    cpu_secs: impl Fn(&(TaskId, u64, DeviceId)) -> f64,
+    rng: &mut FaultRng,
+) -> (f64, Vec<(TaskId, u64, DeviceId)>) {
+    let gpu_times: Vec<f64> = chunks.iter().map(gpu_secs).collect();
+    let cpu_times: Vec<f64> = chunks.iter().map(cpu_secs).collect();
+    let gpu_slots = platform.device(gpu).spec.kind.slots();
+    let cpu_slots = platform.device(DeviceId(0)).spec.kind.slots();
+    let mut order: Vec<usize> = (0..chunks.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(chunks[i].1), chunks[i].0));
+    let (mut best_wall, mut best_j) = (f64::INFINITY, 0);
+    for j in 0..=order.len() {
+        let wall = Waves::wall_of(order[..j].iter().map(|&i| gpu_times[i]), gpu_slots).max(
+            Waves::wall_of(order[j..].iter().map(|&i| cpu_times[i]), cpu_slots),
+        );
+        let better = match wall.partial_cmp(&best_wall) {
+            Some(std::cmp::Ordering::Less) => true,
+            Some(std::cmp::Ordering::Equal) => rng.next_f64() < 0.5,
+            _ => false,
+        };
+        if better {
+            (best_wall, best_j) = (wall, j);
+        }
+    }
+    let mut dest = vec![DeviceId(0); chunks.len()];
+    for &i in &order[..best_j] {
+        dest[i] = gpu;
+    }
+    let moves = chunks
+        .iter()
+        .zip(dest)
+        .filter(|((_, _, cur), d)| d != cur)
+        .map(|(&(t, items, _), d)| (t, items, d))
+        .collect();
+    (best_wall, moves)
 }
 
 /// The available device with the most slots (ties → lowest id), excluding
@@ -2421,88 +2560,67 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Re-solve the plan's partition against the observed whole-device
+    /// Re-solve the plan's partition against observed whole-device
     /// throughputs ([`glinda::resolve_with_observations`], warm-started
-    /// from the prior split) and re-pin the remaining epochs' chunks.
-    /// Whole chunks move (region splits are baked into the plan), and the
-    /// chunk-level assignment minimises a *slot-quantised* predicted epoch
-    /// wall at the observed rates rather than chasing the continuous item
-    /// target — equal-size chunks run in waves over a device's slots, and
-    /// a count-based target can balance busy time without shortening the
-    /// critical path. A no-regression guard keeps an epoch's old placement
-    /// when the model predicts no improvement.
+    /// from the prior split) and re-pin the remaining epochs' chunks with
+    /// [`prefix_sweep`]. Whole chunks move (region splits are baked into
+    /// the plan), and the assignment minimises the [`Waves`] wall at the
+    /// observed rates rather than chasing the continuous item target. A
+    /// no-regression guard keeps an epoch's old placement when the model
+    /// predicts no improvement.
+    ///
+    /// Plans differ only in where an epoch's re-solve comes from. SP-Single
+    /// re-solves the plan's problem once, at the closing epoch's aggregate
+    /// rates. A multi-kernel SP-Varied plan (per-kernel splits) re-solves
+    /// each epoch's own kernel problem at *that kernel's* cumulative rates:
+    /// the aggregate says "the GPU is slow" even when only one kernel is,
+    /// and would drag the GPU-friendly epochs toward the CPU too. SP-Varied
+    /// separates kernels with taskwaits; an epoch that mixes kernels has no
+    /// single problem and is left alone.
     fn repartition(&mut self) {
-        // A plan carrying per-kernel splits (multi-kernel SP-Varied)
-        // re-solves each remaining epoch against its own kernel's problem
-        // and observed rates instead of the SP-Single projection.
-        if self
-            .adapt
-            .as_ref()
-            .and_then(|a| a.plan.as_ref())
-            .is_some_and(|p| p.per_kernel.is_some())
-        {
-            self.repartition_varied();
-            return;
-        }
+        let plan = self.adapt.as_ref().unwrap().plan.clone();
+        let plan = plan.expect("repartition requires a plan");
         // A plan carrying an N-way split re-balances over the *full* live
         // device set (the multi-accelerator adaptation path).
-        if self
-            .adapt
-            .as_ref()
-            .and_then(|a| a.plan.as_ref())
-            .is_some_and(|p| p.multi.is_some())
-        {
+        if plan.per_kernel.is_none() && plan.multi.is_some() {
             self.repartition_multi();
             return;
         }
-        let (plan, obs_cpu, obs_gpu) = {
-            let a = self.adapt.as_ref().unwrap();
-            let plan = a.plan.clone().expect("repartition requires a plan");
-            // Effective whole-device throughput: items per second of wall
-            // time, busy spread over the device's slots, transfers and
-            // overheads folded in. The two-way Glinda model sees the host
-            // as the CPU side and the plan's accelerator as the GPU side.
-            let rate = |dev: DeviceId| -> Option<f64> {
-                let busy = a.epoch_busy[dev.0].as_secs_f64();
-                let slots = self.platform.device(dev).spec.kind.slots() as f64;
-                let items = a.epoch_items[dev.0] as f64;
-                (busy > 0.0 && items > 0.0).then_some(items * slots / busy)
-            };
-            let gpu = plan.gpu;
-            (plan, rate(DeviceId(0)), rate(gpu))
-        };
-        // One side idle this epoch (or its device dead): nothing observed
-        // to correct with — leave the plan alone.
-        let (Some(obs_cpu), Some(obs_gpu)) = (obs_cpu, obs_gpu) else {
-            return;
-        };
         if self.faults.as_ref().is_some_and(|f| f.dead[plan.gpu.0]) {
             return;
         }
-        let corrected =
-            glinda::resolve_with_observations(&plan.problem, &plan.solution, obs_cpu, obs_gpu);
-        if plan.problem.items == 0 {
-            return;
+        let (platform, program, tasks) = (self.platform, self.program, &self.tasks);
+        let (cpu, gpu) = (DeviceId(0), plan.gpu);
+        /// Where an epoch's re-solve comes from.
+        enum Source {
+            /// SP-Single: the plan's problem, re-solved once at the closing
+            /// epoch's aggregate rates (CPU, GPU).
+            Plan(f64, f64, PartitionSolution),
+            /// SP-Varied: the epoch's own kernel problem at that kernel's
+            /// cumulative rates, each applied split written back.
+            Kernels(Vec<KernelAdaptPlan>),
         }
-        // Per-chunk costs at the observed whole-device rates, and the
-        // slot-quantised wall clock of one side: chunks dispatch onto a
-        // device's parallel slots, so equal-size CPU chunks run in *waves*
-        // (24 vs 17 chunks on 12 threads are both two waves) — an
-        // item-count target that ignores this can balance busy time
-        // without moving the epoch's critical path. `lpt` mirrors the
-        // executor's least-loaded dispatch (longest chunks first).
-        let cpu_slots = self.platform.device(DeviceId(0)).spec.kind.slots();
-        let gpu_slots = self.platform.device(plan.gpu).spec.kind.slots();
-        let lpt = |times: &[f64], slots: usize| -> f64 {
-            let mut load = vec![0.0f64; slots.max(1)];
-            for &t in times {
-                let m = load
-                    .iter_mut()
-                    .min_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal))
-                    .unwrap();
-                *m += t;
+        let a = self.adapt.as_mut().unwrap();
+        let mut source = match plan.per_kernel {
+            Some(kernels) => Source::Kernels(kernels),
+            None => {
+                // One side idle this epoch: nothing observed to correct with.
+                let (Some(obs_cpu), Some(obs_gpu)) =
+                    (a.epoch_rate(platform, cpu), a.epoch_rate(platform, gpu))
+                else {
+                    return;
+                };
+                let corrected = glinda::resolve_with_observations(
+                    &plan.problem,
+                    &plan.solution,
+                    obs_cpu,
+                    obs_gpu,
+                );
+                if plan.problem.items == 0 {
+                    return;
+                }
+                Source::Plan(obs_cpu, obs_gpu, corrected)
             }
-            load.into_iter().fold(0.0, f64::max)
         };
         // Chunk time on a side: the observed-rate extrapolation captures
         // how the device is *actually* running (throttle windows, flaky
@@ -2510,364 +2628,137 @@ impl<'a> Sim<'a> {
         // on big chunks amortizes launch overhead a fragment pays in
         // full. Floor it with the device model's own per-chunk prediction
         // (which prices the launch exactly).
-        let t_cpu = |t: TaskId, items: u64| -> f64 {
-            let task = self.tasks[t.0];
-            let profile = &self.program.kernels[task.kernel.0].profile;
-            let floor = self
-                .platform
-                .device(DeviceId(0))
+        let exec_secs = |t: TaskId, items: u64, dev: DeviceId, rate: f64| -> f64 {
+            let task = tasks[t.0];
+            let device = platform.device(dev);
+            let profile = &program.kernels[task.kernel.0].profile;
+            let floor = device
                 .exec_time_weighted(profile, items, task.cost_scale)
                 .as_secs_f64();
-            (items as f64 * cpu_slots as f64 / obs_cpu).max(floor)
-        };
-        let t_gpu = |t: TaskId, items: u64| -> f64 {
-            let task = self.tasks[t.0];
-            let profile = &self.program.kernels[task.kernel.0].profile;
-            let floor = self
-                .platform
-                .device(plan.gpu)
-                .exec_time_weighted(profile, items, task.cost_scale)
-                .as_secs_f64();
-            (items as f64 * gpu_slots as f64 / obs_gpu).max(floor)
+            (items as f64 * device.spec.kind.slots() as f64 / rate).max(floor)
         };
         // A migrated chunk re-reads its inputs across the link before it
         // can start; the candidate walls must price that hop, or a slow
         // link turns a predicted win into a real loss — the regression
         // the guard exists to prevent.
-        let program = self.program;
-        let cpu_space = self.platform.device(DeviceId(0)).mem_space;
-        let gpu_space = self.platform.device(plan.gpu).mem_space;
-        let read_bytes = |t: TaskId| -> u64 {
-            self.tasks[t.0]
+        let move_secs = |t: TaskId, cur: DeviceId| -> f64 {
+            let (from, to) = if cur == gpu { (gpu, cpu) } else { (cpu, gpu) };
+            let bytes = tasks[t.0]
                 .accesses
                 .iter()
                 .filter(|acc| acc.mode.reads())
                 .map(|acc| acc.region.span.len() * program.buffers[acc.region.buffer.0].item_bytes)
-                .sum()
-        };
-        let move_secs = |t: TaskId, cur: DeviceId| -> f64 {
-            let (from, to) = if cur == plan.gpu {
-                (gpu_space, cpu_space)
-            } else {
-                (cpu_space, gpu_space)
-            };
-            transfer_cost(self.platform, from, to, read_bytes(t)).as_secs_f64()
+                .sum();
+            let space = |dev: DeviceId| platform.device(dev).mem_space;
+            transfer_cost(platform, space(from), space(to), bytes).as_secs_f64()
         };
         let mut moved_items = 0u64;
         let mut changed = false;
-        let epochs = &self.epochs;
-        let tasks = &self.tasks;
-        let a = self.adapt.as_mut().unwrap();
-        for epoch in epochs.iter().skip(self.cur_epoch + 1) {
-            // The epoch's statically placed chunks and their current homes
-            // (plus what moving each one across the link would cost).
-            let mut chunks: Vec<(TaskId, u64, DeviceId, f64)> = Vec::new();
-            let mut total = 0u64;
-            for &t in epoch {
-                let Some(cur) = a.override_of[t.0].or(tasks[t.0].pinned) else {
-                    continue;
-                };
-                chunks.push((t, tasks[t.0].items, cur, move_secs(t, cur)));
-                total += tasks[t.0].items;
-            }
-            if chunks.len() < 2 || total == 0 {
+        for epoch in self.epochs.iter().skip(self.cur_epoch + 1) {
+            let chunks = pinned_chunks(epoch, &a.override_of, tasks);
+            if chunks.len() < 2 || chunks.iter().map(|c| c.1).sum::<u64>() == 0 {
                 continue;
             }
-            // Sweep the prefix splits of the size-ordered chunks (the
-            // corrected split always offloads a contiguous "biggest
-            // chunks" share): GPU takes the first `j`, the CPU the rest;
-            // pick the `j` with the smallest predicted wall (a coin from
-            // the adaptation stream breaks an exact tie).
-            let mut order: Vec<usize> = (0..chunks.len()).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(chunks[i].1), chunks[i].0));
-            let mut best_j = 0usize;
-            let mut best_wall = f64::INFINITY;
-            for j in 0..=order.len() {
-                let gpu_times: Vec<f64> = order[..j]
-                    .iter()
-                    .map(|&i| {
-                        let (t, items, cur, mv) = chunks[i];
-                        t_gpu(t, items) + if cur == plan.gpu { 0.0 } else { mv }
-                    })
-                    .collect();
-                let cpu_times: Vec<f64> = order[j..]
-                    .iter()
-                    .map(|&i| {
-                        let (t, items, cur, mv) = chunks[i];
-                        t_cpu(t, items) + if cur == plan.gpu { mv } else { 0.0 }
-                    })
-                    .collect();
-                let wall = lpt(&gpu_times, gpu_slots).max(lpt(&cpu_times, cpu_slots));
-                let better = match wall.partial_cmp(&best_wall) {
-                    Some(std::cmp::Ordering::Less) => true,
-                    Some(std::cmp::Ordering::Equal) => a.rng.next_f64() < 0.5,
-                    _ => false,
-                };
-                if better {
-                    best_wall = wall;
-                    best_j = j;
+            let (slot, obs_cpu, obs_gpu, corrected) = match &source {
+                Source::Plan(obs_cpu, obs_gpu, corrected) => (None, *obs_cpu, *obs_gpu, *corrected),
+                Source::Kernels(kernels) => {
+                    let kid = tasks[chunks[0].0 .0].kernel;
+                    if chunks.iter().any(|&(t, ..)| tasks[t.0].kernel != kid) {
+                        continue;
+                    }
+                    // A kernel without a stored entry (its decision was
+                    // Only-CPU or Only-GPU) has no split to correct, and a
+                    // side it never ran on gives nothing to correct with.
+                    let Some(ki) = kernels.iter().position(|kp| kp.kernel == kid.0) else {
+                        continue;
+                    };
+                    if kernels[ki].problem.items == 0 {
+                        continue;
+                    }
+                    let (Some(obs_cpu), Some(obs_gpu)) = (
+                        a.kernel_rate(platform, kid, cpu),
+                        a.kernel_rate(platform, kid, gpu),
+                    ) else {
+                        continue;
+                    };
+                    let kp = &kernels[ki];
+                    let corrected = glinda::resolve_with_observations(
+                        &kp.problem,
+                        &kp.solution,
+                        obs_cpu,
+                        obs_gpu,
+                    );
+                    (Some(ki), obs_cpu, obs_gpu, corrected)
                 }
-            }
+            };
+            let (best_wall, moves) = prefix_sweep(
+                &chunks,
+                platform,
+                gpu,
+                |&(t, items, cur)| {
+                    exec_secs(t, items, gpu, obs_gpu)
+                        + if cur == gpu { 0.0 } else { move_secs(t, cur) }
+                },
+                |&(t, items, cur)| {
+                    exec_secs(t, items, cpu, obs_cpu)
+                        + if cur == gpu { move_secs(t, cur) } else { 0.0 }
+                },
+                &mut a.rng,
+            );
             // No-regression guard: apply only if the observed-rate model
             // predicts the new assignment strictly beats the current one.
-            let cur_gpu_times: Vec<f64> = chunks
-                .iter()
-                .filter(|&&(_, _, cur, _)| cur == plan.gpu)
-                .map(|&(t, items, _, _)| t_gpu(t, items))
-                .collect();
-            let cur_cpu_times: Vec<f64> = chunks
-                .iter()
-                .filter(|&&(_, _, cur, _)| cur != plan.gpu)
-                .map(|&(t, items, _, _)| t_cpu(t, items))
-                .collect();
-            let cur_wall = lpt(&cur_gpu_times, gpu_slots).max(lpt(&cur_cpu_times, cpu_slots));
-            if best_wall >= cur_wall {
-                continue;
-            }
-            let mut assign_gpu = vec![false; chunks.len()];
-            for &i in &order[..best_j] {
-                assign_gpu[i] = true;
-            }
-            for (i, &(t, items, cur, _)) in chunks.iter().enumerate() {
-                let dest = if assign_gpu[i] { plan.gpu } else { DeviceId(0) };
-                if dest != cur {
-                    a.override_of[t.0] = Some(dest);
-                    moved_items += items;
-                    changed = true;
-                }
-            }
-        }
-        if changed {
-            a.report.repartitions += 1;
-            a.report.items_moved += moved_items;
-            if let Some(p) = a.plan.as_mut() {
-                // The applied split becomes the next re-solve's warm start.
-                p.solution = corrected;
-            }
-            route_event(
-                &mut *self.obs,
-                &TraceEvent::Repartitioned {
-                    epoch: self.cur_epoch,
-                    gpu_items: corrected.gpu_items,
-                    cpu_items: corrected.cpu_items,
-                    at: self.now,
-                },
-            );
-        }
-    }
-
-    /// The SP-Varied sibling of [`Sim::repartition`]: SP-Varied separates
-    /// kernels with taskwaits, so each remaining epoch's statically placed
-    /// chunks all belong to one kernel — the controller re-solves *that
-    /// kernel's* stored problem against *that kernel's* cumulative
-    /// observed rates. The SP-Single approximation (kernel 0's problem,
-    /// whole-application aggregate rates) mis-repins as soon as kernels
-    /// have opposite device affinities: the aggregate rate says "the GPU
-    /// is slow" even when only one kernel is, and every epoch — including
-    /// the GPU-friendly ones — gets dragged toward the CPU. Chunk binding,
-    /// migration pricing, and the no-regression guard are identical to
-    /// [`Sim::repartition`], applied per epoch.
-    fn repartition_varied(&mut self) {
-        let (plan, mut kernels) = {
-            let a = self.adapt.as_ref().unwrap();
-            let plan = a.plan.clone().expect("repartition requires a plan");
-            let kernels = plan
-                .per_kernel
-                .clone()
-                .expect("varied repartition carries per-kernel plans");
-            (plan, kernels)
-        };
-        if self.faults.as_ref().is_some_and(|f| f.dead[plan.gpu.0]) {
-            return;
-        }
-        let cpu_slots = self.platform.device(DeviceId(0)).spec.kind.slots();
-        let gpu_slots = self.platform.device(plan.gpu).spec.kind.slots();
-        let lpt = |times: &[f64], slots: usize| -> f64 {
-            let mut load = vec![0.0f64; slots.max(1)];
-            for &t in times {
-                let m = load
-                    .iter_mut()
-                    .min_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal))
-                    .unwrap();
-                *m += t;
-            }
-            load.into_iter().fold(0.0, f64::max)
-        };
-        let platform = self.platform;
-        let program = self.program;
-        let cpu_space = self.platform.device(DeviceId(0)).mem_space;
-        let gpu_space = self.platform.device(plan.gpu).mem_space;
-        let read_bytes = |t: TaskId| -> u64 {
-            self.tasks[t.0]
-                .accesses
-                .iter()
-                .filter(|acc| acc.mode.reads())
-                .map(|acc| acc.region.span.len() * program.buffers[acc.region.buffer.0].item_bytes)
-                .sum()
-        };
-        let move_secs = |t: TaskId, cur: DeviceId| -> f64 {
-            let (from, to) = if cur == plan.gpu {
-                (gpu_space, cpu_space)
-            } else {
-                (cpu_space, gpu_space)
-            };
-            transfer_cost(self.platform, from, to, read_bytes(t)).as_secs_f64()
-        };
-        let mut moved_items = 0u64;
-        let mut changed = false;
-        let epochs = &self.epochs;
-        let tasks = &self.tasks;
-        let a = self.adapt.as_mut().unwrap();
-        for epoch in epochs.iter().skip(self.cur_epoch + 1) {
-            let mut chunks: Vec<(TaskId, u64, DeviceId, f64)> = Vec::new();
-            let mut total = 0u64;
-            for &t in epoch {
-                let Some(cur) = a.override_of[t.0].or(tasks[t.0].pinned) else {
-                    continue;
-                };
-                chunks.push((t, tasks[t.0].items, cur, move_secs(t, cur)));
-                total += tasks[t.0].items;
-            }
-            if chunks.len() < 2 || total == 0 {
-                continue;
-            }
-            // One kernel per SP-Varied epoch; a mixed epoch has no single
-            // per-kernel problem to re-solve, so it is left alone. A
-            // kernel without a stored entry (its decision was Only-CPU or
-            // Only-GPU) has no split to correct either.
-            let kid = tasks[chunks[0].0 .0].kernel;
-            if chunks.iter().any(|&(t, _, _, _)| tasks[t.0].kernel != kid) {
-                continue;
-            }
-            let Some(ki) = kernels.iter().position(|kp| kp.kernel == kid.0) else {
-                continue;
-            };
-            if kernels[ki].problem.items == 0 {
-                continue;
-            }
-            // This kernel's own observed whole-device throughputs, from
-            // the run's cumulative (kernel, device) rate table: items ×
-            // slots / slot-busy seconds. A side this kernel has never run
-            // on gives the model nothing to correct with.
-            let (obs_cpu, obs_gpu) = {
-                let rate = |dev: DeviceId| -> Option<f64> {
-                    let o = a.obs.get(&(kid, dev))?;
-                    let slots = platform.device(dev).spec.kind.slots() as f64;
-                    (o.secs > 0.0 && o.items > 0.0).then(|| o.items * slots / o.secs)
-                };
-                (rate(DeviceId(0)), rate(plan.gpu))
-            };
-            let (Some(obs_cpu), Some(obs_gpu)) = (obs_cpu, obs_gpu) else {
-                continue;
-            };
-            let corrected = glinda::resolve_with_observations(
-                &kernels[ki].problem,
-                &kernels[ki].solution,
-                obs_cpu,
-                obs_gpu,
-            );
-            let t_cpu = |t: TaskId, items: u64| -> f64 {
-                let task = tasks[t.0];
-                let profile = &program.kernels[task.kernel.0].profile;
-                let floor = platform
-                    .device(DeviceId(0))
-                    .exec_time_weighted(profile, items, task.cost_scale)
-                    .as_secs_f64();
-                (items as f64 * cpu_slots as f64 / obs_cpu).max(floor)
-            };
-            let t_gpu = |t: TaskId, items: u64| -> f64 {
-                let task = tasks[t.0];
-                let profile = &program.kernels[task.kernel.0].profile;
-                let floor = platform
-                    .device(plan.gpu)
-                    .exec_time_weighted(profile, items, task.cost_scale)
-                    .as_secs_f64();
-                (items as f64 * gpu_slots as f64 / obs_gpu).max(floor)
-            };
-            let mut order: Vec<usize> = (0..chunks.len()).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(chunks[i].1), chunks[i].0));
-            let mut best_j = 0usize;
-            let mut best_wall = f64::INFINITY;
-            for j in 0..=order.len() {
-                let gpu_times: Vec<f64> = order[..j]
+            let (on_gpu, on_cpu): (Vec<_>, Vec<_>) = chunks.iter().partition(|c| c.2 == gpu);
+            let cur_wall = |side: &[&(TaskId, u64, DeviceId)], dev: DeviceId, rate: f64| {
+                let times = side
                     .iter()
-                    .map(|&i| {
-                        let (t, items, cur, mv) = chunks[i];
-                        t_gpu(t, items) + if cur == plan.gpu { 0.0 } else { mv }
-                    })
-                    .collect();
-                let cpu_times: Vec<f64> = order[j..]
-                    .iter()
-                    .map(|&i| {
-                        let (t, items, cur, mv) = chunks[i];
-                        t_cpu(t, items) + if cur == plan.gpu { mv } else { 0.0 }
-                    })
-                    .collect();
-                let wall = lpt(&gpu_times, gpu_slots).max(lpt(&cpu_times, cpu_slots));
-                let better = match wall.partial_cmp(&best_wall) {
-                    Some(std::cmp::Ordering::Less) => true,
-                    Some(std::cmp::Ordering::Equal) => a.rng.next_f64() < 0.5,
-                    _ => false,
-                };
-                if better {
-                    best_wall = wall;
-                    best_j = j;
-                }
-            }
-            let cur_gpu_times: Vec<f64> = chunks
-                .iter()
-                .filter(|&&(_, _, cur, _)| cur == plan.gpu)
-                .map(|&(t, items, _, _)| t_gpu(t, items))
-                .collect();
-            let cur_cpu_times: Vec<f64> = chunks
-                .iter()
-                .filter(|&&(_, _, cur, _)| cur != plan.gpu)
-                .map(|&(t, items, _, _)| t_cpu(t, items))
-                .collect();
-            let cur_wall = lpt(&cur_gpu_times, gpu_slots).max(lpt(&cur_cpu_times, cpu_slots));
-            if best_wall >= cur_wall {
+                    .map(|&&(t, items, _)| exec_secs(t, items, dev, rate));
+                Waves::wall_of(times, platform.device(dev).spec.kind.slots())
+            };
+            if moves.is_empty()
+                || best_wall >= cur_wall(&on_gpu, gpu, obs_gpu).max(cur_wall(&on_cpu, cpu, obs_cpu))
+            {
                 continue;
             }
-            let mut assign_gpu = vec![false; chunks.len()];
-            for &i in &order[..best_j] {
-                assign_gpu[i] = true;
+            for &(t, items, dest) in &moves {
+                a.override_of[t.0] = Some(dest);
+                moved_items += items;
             }
-            let mut epoch_changed = false;
-            for (i, &(t, items, cur, _)) in chunks.iter().enumerate() {
-                let dest = if assign_gpu[i] { plan.gpu } else { DeviceId(0) };
-                if dest != cur {
-                    a.override_of[t.0] = Some(dest);
-                    moved_items += items;
-                    epoch_changed = true;
-                }
-            }
-            if epoch_changed {
-                changed = true;
-                // This kernel's applied split warm-starts its next
-                // re-solve (later epochs of the same kernel in this very
-                // sweep included).
+            changed = true;
+            // The applied split warm-starts the kernel's next re-solve
+            // (later epochs of the same kernel in this very sweep included).
+            if let (Some(ki), Source::Kernels(kernels)) = (slot, &mut source) {
                 kernels[ki].solution = corrected;
             }
         }
-        if changed {
-            a.report.repartitions += 1;
-            a.report.items_moved += moved_items;
-            let (gpu_items, cpu_items) = kernels.iter().fold((0, 0), |(g, c), kp| {
-                (g + kp.solution.gpu_items, c + kp.solution.cpu_items)
-            });
-            if let Some(p) = a.plan.as_mut() {
-                p.per_kernel = Some(kernels);
-            }
-            route_event(
-                &mut *self.obs,
-                &TraceEvent::Repartitioned {
-                    epoch: self.cur_epoch,
-                    gpu_items,
-                    cpu_items,
-                    at: self.now,
-                },
-            );
+        if !changed {
+            return;
         }
+        a.report.repartitions += 1;
+        a.report.items_moved += moved_items;
+        let p = a.plan.as_mut().expect("repartition requires a plan");
+        // The applied split becomes the next re-solve's warm start.
+        let (gpu_items, cpu_items) = match source {
+            Source::Plan(_, _, corrected) => {
+                p.solution = corrected;
+                (corrected.gpu_items, corrected.cpu_items)
+            }
+            Source::Kernels(kernels) => {
+                let totals = kernels.iter().fold((0, 0), |(g, c), kp| {
+                    (g + kp.solution.gpu_items, c + kp.solution.cpu_items)
+                });
+                p.per_kernel = Some(kernels);
+                totals
+            }
+        };
+        route_event(
+            &mut *self.obs,
+            &TraceEvent::Repartitioned {
+                epoch: self.cur_epoch,
+                gpu_items,
+                cpu_items,
+                at: self.now,
+            },
+        );
     }
 
     /// The N-way sibling of [`Sim::repartition`]: re-solve the plan's
@@ -2995,27 +2886,16 @@ impl<'a> Sim<'a> {
     /// plan-repair's cumulative books when present, else the adaptation
     /// controller's cumulative observations, else `None` (model only).
     fn whole_device_rates(&self) -> Vec<Option<f64>> {
-        (0..self.platform.devices.len())
+        let platform = self.platform;
+        platform
+            .devices
+            .iter()
             .map(|d| {
-                let slots = self.platform.devices[d].spec.kind.slots() as f64;
-                if let Some(r) = &self.replan {
-                    if r.obs_secs[d] > 0.0 && r.obs_items[d] > 0.0 {
-                        return Some(r.obs_items[d] * slots / r.obs_secs[d]);
-                    }
-                }
-                if let Some(a) = &self.adapt {
-                    let (mut items, mut secs) = (0.0f64, 0.0f64);
-                    for ((_, dd), o) in a.obs.iter() {
-                        if dd.0 == d {
-                            items += o.items;
-                            secs += o.secs;
-                        }
-                    }
-                    if secs > 0.0 && items > 0.0 {
-                        return Some(items * slots / secs);
-                    }
-                }
-                None
+                let dev = d.id;
+                let repair = self.replan.as_ref().and_then(|r| {
+                    observed_rate(platform, dev, r.obs_items[dev.0], r.obs_secs[dev.0])
+                });
+                repair.or_else(|| self.adapt.as_ref()?.cumulative_rate(platform, dev))
             })
             .collect()
     }
@@ -3153,13 +3033,6 @@ impl<'a> Sim<'a> {
         } else {
             &mut self.adapt.as_mut().unwrap().rng
         };
-        let lpt_push = |load: &mut [f64], t: f64| {
-            let m = load
-                .iter_mut()
-                .min_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal))
-                .unwrap();
-            *m += t;
-        };
         let mut moves: Vec<(TaskId, DeviceId)> = Vec::new();
         let mut moved_items = 0u64;
         for chunks in &per_epoch {
@@ -3169,25 +3042,20 @@ impl<'a> Sim<'a> {
             let mut order: Vec<usize> = (0..chunks.len()).collect();
             order.sort_by_key(|&i| (std::cmp::Reverse(chunks[i].items), chunks[i].t));
             // The naive baseline dispatches the same longest-first waves.
-            let mut naive_loads: Vec<Vec<f64>> =
-                slots_of.iter().map(|&s| vec![0.0; s.max(1)]).collect();
+            let mut naive_loads: Vec<Waves> = slots_of.iter().map(|&s| Waves::new(s)).collect();
             for &i in &order {
                 let c = &chunks[i];
-                lpt_push(&mut naive_loads[c.naive], c.cost[c.naive]);
+                naive_loads[c.naive].push(c.cost[c.naive]);
             }
-            let naive_wall = naive_loads
-                .iter()
-                .flat_map(|l| l.iter())
-                .fold(0.0f64, |m, &v| m.max(v));
+            let naive_wall = naive_loads.iter().map(Waves::wall).fold(0.0, f64::max);
             // Repaired assignment: earliest predicted finish wins.
-            let mut loads: Vec<Vec<f64>> = slots_of.iter().map(|&s| vec![0.0; s.max(1)]).collect();
+            let mut loads: Vec<Waves> = slots_of.iter().map(|&s| Waves::new(s)).collect();
             let mut dest = vec![0usize; chunks.len()];
             for &i in &order {
                 let c = &chunks[i];
                 let mut best: Option<(f64, usize)> = None;
                 for (k, load) in loads.iter().enumerate() {
-                    let slack = load.iter().fold(f64::INFINITY, |m, &v| m.min(v));
-                    let fin = slack + c.cost[k];
+                    let fin = load.earliest_free() + c.cost[k];
                     let better = match best {
                         None => true,
                         Some((bf, _)) => match fin.partial_cmp(&bf) {
@@ -3201,13 +3069,10 @@ impl<'a> Sim<'a> {
                     }
                 }
                 let (_, k) = best.expect("at least one surviving target");
-                lpt_push(&mut loads[k], c.cost[k]);
+                loads[k].push(c.cost[k]);
                 dest[i] = k;
             }
-            let wall = loads
-                .iter()
-                .flat_map(|l| l.iter())
-                .fold(0.0f64, |m, &v| m.max(v));
+            let wall = loads.iter().map(Waves::wall).fold(0.0, f64::max);
             // Per-epoch no-regression guard: repair must beat the naive
             // failover at the model's own predictions *with margin* —
             // the model is a per-epoch LPT relaxation that cannot see
@@ -3351,11 +3216,12 @@ impl<'a> Sim<'a> {
     /// synthesized by a correlated trigger — bumps a calm counter;
     /// anything else resets it. After `reinstate_after` consecutive calm
     /// barriers the remaining epochs are handed back to the static plan,
-    /// re-solved at the observed whole-device rates exactly as
-    /// [`Sim::repartition`] would. A no-regression guard keeps DP-Perf
-    /// when the slot-quantised model predicts the static split would run
-    /// the next epoch slower than the dynamic scheduler just ran the
-    /// closing one.
+    /// re-solved at the observed whole-device rates and re-pinned through
+    /// the same [`prefix_sweep`] as [`Sim::repartition`] (pure rate
+    /// extrapolation here: no launch floor, no migration term). A
+    /// no-regression guard keeps DP-Perf when the model predicts the
+    /// static split would run the next epoch slower than the dynamic
+    /// scheduler just ran the closing one.
     fn try_reinstate(&mut self, skew: f64) {
         let now = self.now;
         let disturbed = self
@@ -3394,86 +3260,37 @@ impl<'a> Sim<'a> {
         // `repartition`). DP-Perf may have starved a side entirely this
         // epoch; fall back to the run's cumulative observations so a
         // one-sided dynamic placement can still be un-escalated.
-        let (obs_cpu, obs_gpu) = {
-            let a = self.adapt.as_ref().unwrap();
-            let rate = |dev: DeviceId| -> Option<f64> {
-                let slots = self.platform.device(dev).spec.kind.slots() as f64;
-                let busy = a.epoch_busy[dev.0].as_secs_f64();
-                let items = a.epoch_items[dev.0] as f64;
-                if busy > 0.0 && items > 0.0 {
-                    return Some(items * slots / busy);
-                }
-                let (mut items, mut secs) = (0.0f64, 0.0f64);
-                for ((_, d), o) in a.obs.iter() {
-                    if *d == dev {
-                        items += o.items;
-                        secs += o.secs;
-                    }
-                }
-                (secs > 0.0 && items > 0.0).then_some(items * slots / secs)
-            };
-            (rate(DeviceId(0)), rate(plan.gpu))
+        let platform = self.platform;
+        let a = self.adapt.as_mut().unwrap();
+        let rate = |dev: DeviceId| {
+            a.epoch_rate(platform, dev)
+                .or_else(|| a.cumulative_rate(platform, dev))
         };
         // A device with no observations at all would make the static
         // plan blind: keep the dynamic scheduler and keep waiting.
-        let (Some(obs_cpu), Some(obs_gpu)) = (obs_cpu, obs_gpu) else {
+        let (Some(obs_cpu), Some(obs_gpu)) = (rate(DeviceId(0)), rate(plan.gpu)) else {
             return;
         };
         let corrected =
             glinda::resolve_with_observations(&plan.problem, &plan.solution, obs_cpu, obs_gpu);
-        let cpu_slots = self.platform.device(DeviceId(0)).spec.kind.slots();
-        let gpu_slots = self.platform.device(plan.gpu).spec.kind.slots();
-        let lpt = |times: &[f64], slots: usize| -> f64 {
-            let mut load = vec![0.0f64; slots.max(1)];
-            for &t in times {
-                let m = load
-                    .iter_mut()
-                    .min_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal))
-                    .unwrap();
-                *m += t;
-            }
-            load.into_iter().fold(0.0, f64::max)
+        let secs = |items: u64, dev: DeviceId, rate: f64| {
+            items as f64 * platform.device(dev).spec.kind.slots() as f64 / rate
         };
-        let t_cpu = |items: u64| items as f64 * cpu_slots as f64 / obs_cpu;
-        let t_gpu = |items: u64| items as f64 * gpu_slots as f64 / obs_gpu;
-        let dynamic_wall = {
-            let a = self.adapt.as_ref().unwrap();
-            now.saturating_sub(a.last_barrier_at).as_secs_f64()
-        };
-        let epochs = &self.epochs;
-        let tasks = &self.tasks;
-        let a = self.adapt.as_mut().unwrap();
+        let dynamic_wall = now.saturating_sub(a.last_barrier_at).as_secs_f64();
         let mut guard_checked = false;
-        let mut moves: Vec<(TaskId, DeviceId)> = Vec::new();
-        for epoch in epochs.iter().skip(self.cur_epoch + 1) {
-            let mut chunks: Vec<(TaskId, u64, DeviceId)> = Vec::new();
-            for &t in epoch {
-                let Some(cur) = a.override_of[t.0].or(tasks[t.0].pinned) else {
-                    continue;
-                };
-                chunks.push((t, tasks[t.0].items, cur));
-            }
+        for epoch in self.epochs.iter().skip(self.cur_epoch + 1) {
+            let chunks = pinned_chunks(epoch, &a.override_of, &self.tasks);
             if chunks.is_empty() {
                 continue;
             }
-            let mut order: Vec<usize> = (0..chunks.len()).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(chunks[i].1), chunks[i].0));
-            let mut best_j = 0usize;
-            let mut best_wall = f64::INFINITY;
-            for j in 0..=order.len() {
-                let gpu_times: Vec<f64> = order[..j].iter().map(|&i| t_gpu(chunks[i].1)).collect();
-                let cpu_times: Vec<f64> = order[j..].iter().map(|&i| t_cpu(chunks[i].1)).collect();
-                let wall = lpt(&gpu_times, gpu_slots).max(lpt(&cpu_times, cpu_slots));
-                let better = match wall.partial_cmp(&best_wall) {
-                    Some(std::cmp::Ordering::Less) => true,
-                    Some(std::cmp::Ordering::Equal) => a.rng.next_f64() < 0.5,
-                    _ => false,
-                };
-                if better {
-                    best_wall = wall;
-                    best_j = j;
-                }
-            }
+            let (best_wall, moves) = prefix_sweep(
+                &chunks,
+                platform,
+                plan.gpu,
+                |c| secs(c.1, plan.gpu, obs_gpu),
+                |c| secs(c.1, DeviceId(0), obs_cpu),
+                &mut a.rng,
+            );
             if !guard_checked {
                 guard_checked = true;
                 // No-regression guard, against the *measured* dynamic
@@ -3483,19 +3300,9 @@ impl<'a> Sim<'a> {
                     return;
                 }
             }
-            let mut assign_gpu = vec![false; chunks.len()];
-            for &i in &order[..best_j] {
-                assign_gpu[i] = true;
+            for (t, _, dest) in moves {
+                a.override_of[t.0] = Some(dest);
             }
-            for (i, &(t, _, cur)) in chunks.iter().enumerate() {
-                let dest = if assign_gpu[i] { plan.gpu } else { DeviceId(0) };
-                if dest != cur {
-                    moves.push((t, dest));
-                }
-            }
-        }
-        for &(t, dest) in &moves {
-            a.override_of[t.0] = Some(dest);
         }
         if let Some(p) = a.plan.as_mut() {
             // The reinstated split becomes the next re-solve's warm start.

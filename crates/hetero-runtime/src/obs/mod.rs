@@ -9,8 +9,8 @@
 //! * [`NullObserver`] — the default; reports `enabled() == false` so the hot
 //!   path skips event routing entirely and stays byte-identical to the
 //!   pre-observer executor.
-//! * [`TraceObserver`] — collects the full [`TraceEvent`] stream, powering
-//!   the `simulate_*_traced` entry points.
+//! * [`TraceObserver`] — collects the full [`TraceEvent`] stream of a run
+//!   passed to [`crate::execute`].
 //! * [`MetricsObserver`] — feeds a [`MetricsRegistry`] of typed counters,
 //!   gauges and log-bucketed histograms labeled by device/kernel/strategy.
 //! * [`MultiObserver`] — fans one event stream out to several sinks.
@@ -173,8 +173,8 @@ pub fn route_event(obs: &mut dyn Observer, ev: &TraceEvent) {
 }
 
 /// The do-nothing observer. `enabled()` is `false`, so the executor skips
-/// event routing entirely — `simulate*` without tracing uses this and the
-/// hot path is unchanged from the pre-observer executor.
+/// event routing entirely — an unobserved [`crate::execute`] run uses this
+/// and the hot path is unchanged from the pre-observer executor.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullObserver;
 
@@ -184,9 +184,9 @@ impl Observer for NullObserver {
     }
 }
 
-/// Collects the full event stream into a [`Trace`]. This is what the
-/// `simulate_*_traced` entry points install; the resulting trace is
-/// identical to what the executor used to build by hand.
+/// Collects the full event stream into a [`Trace`]. Pass it to
+/// [`crate::execute`] to trace a run; the resulting trace is identical to
+/// what the executor used to build by hand.
 #[derive(Clone, Debug, Default)]
 pub struct TraceObserver {
     trace: Trace,

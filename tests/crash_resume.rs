@@ -10,8 +10,8 @@
 
 use hetero_match::apps::synth;
 use hetero_match::matchmaker::{
-    Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, JournalError, JournalSink, RunSpec,
-    Strategy,
+    Analyzer, AppDescriptor, ExecutionConfig, ExecutionFlow, JournalError, JournalSink, RunJournal,
+    RunSpec, Strategy,
 };
 use hetero_match::platform::{DeviceId, FaultSchedule, KillSchedule, Platform, SimTime};
 use hetero_match::runtime::{AdaptConfig, HealthConfig, NullObserver, ReplanConfig};
@@ -382,6 +382,42 @@ fn salvage_of_a_clean_journal_reports_nothing() {
         hetero_match::matchmaker::RunJournal::load_salvaged("not a journal\n"),
         Err(JournalError::MissingHeader)
     ));
+}
+
+/// Every damaged form of `text` a crash or a bit flip can leave: each
+/// char-boundary prefix, then each ASCII byte with its lowest bit flipped
+/// (still ASCII, so the input stays a `&str`).
+fn damaged(text: &str) -> impl Iterator<Item = String> + '_ {
+    let cuts = (0..text.len())
+        .filter(|&i| text.is_char_boundary(i))
+        .map(|i| text[..i].to_string());
+    let flips = (0..text.len())
+        .filter(|&i| text.as_bytes()[i].is_ascii())
+        .map(|i| {
+            let mut bytes = text.as_bytes().to_vec();
+            bytes[i] ^= 1;
+            String::from_utf8(bytes).expect("an ASCII flip stays UTF-8")
+        });
+    cuts.chain(flips)
+}
+
+/// Decoder robustness: every truncation and every single-byte mutation of
+/// a valid journal loads, strictly or salvaged, to a typed error or to a
+/// journal no longer than the original. Neither decoder panics.
+#[test]
+fn journal_loads_survive_every_truncation_and_byte_flip() {
+    let (full_text, _) = complete_journal();
+    let full = RunJournal::load(&full_text).unwrap().record_count();
+    for input in damaged(&full_text) {
+        match RunJournal::load(&input) {
+            Ok(journal) => assert!(journal.record_count() <= full),
+            Err(e) => assert!(!e.to_string().is_empty()),
+        }
+        match RunJournal::load_salvaged(&input) {
+            Ok((journal, _)) => assert!(journal.record_count() <= full),
+            Err(e) => assert!(!e.to_string().is_empty()),
+        }
+    }
 }
 
 proptest! {

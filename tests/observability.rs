@@ -405,6 +405,44 @@ fn stream_fold_equivalence_across_all_run_modes() {
     }
 }
 
+/// Decoder robustness: every truncation and every single-byte mutation of
+/// a valid snapshot stream folds to a typed error or to a registry, never
+/// a panic. Mutations flip the lowest bit of one ASCII byte, so the input
+/// stays a `&str`.
+#[test]
+fn fold_stream_survives_every_truncation_and_byte_flip() {
+    let platform = Platform::icpp15();
+    let desc = synth::single_kernel(
+        "fold-robust",
+        1 << 16,
+        1024.0,
+        ExecutionFlow::Sequence,
+        true,
+    );
+    let mut obs = SnapshotObserver::new(&platform, STREAM_STRATEGY_LABEL);
+    let config = ExecutionConfig::Strategy(Strategy::SpSingle);
+    Analyzer::new(&platform)
+        .execute(&desc, config, &RunSpec::plain(), &mut obs, None)
+        .unwrap();
+    let stream = obs.stream();
+    fold_stream(&stream).expect("the intact stream folds");
+    let cuts = (0..stream.len())
+        .filter(|&i| stream.is_char_boundary(i))
+        .map(|i| stream[..i].to_string());
+    let flips = (0..stream.len())
+        .filter(|&i| stream.as_bytes()[i].is_ascii())
+        .map(|i| {
+            let mut bytes = stream.as_bytes().to_vec();
+            bytes[i] ^= 1;
+            String::from_utf8(bytes).expect("an ASCII flip stays UTF-8")
+        });
+    for input in cuts.chain(flips) {
+        if let Err(e) = fold_stream(&input) {
+            assert!(!e.to_string().is_empty());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
