@@ -104,7 +104,7 @@ use crate::coherence::CoherenceDir;
 use crate::graph::TaskGraph;
 use crate::health::{BreakerState, HealthConfig, HealthReport, QuarantineSpan, VerificationPolicy};
 use crate::journal::{EpochRecord, JournalError, JournalSink, RngCursors};
-use crate::obs::{route_event, DeviceBreakdown, NullObserver, Observer, TimeBreakdown};
+use crate::obs::{DeviceBreakdown, NullObserver, Observer, TimeBreakdown};
 use crate::program::{KernelId, Program, TaskDesc, TaskId};
 use crate::scheduler::{BindCtx, PerfScheduler, RateObservation, Scheduler};
 use crate::spec::{RunMode, RunSpec};
@@ -396,16 +396,13 @@ fn trigger_correlated(f: &mut FaultCtx, obs: &mut dyn Observer, source: DeviceId
                 until,
             });
             f.counters.correlated_triggers += 1;
-            route_event(
-                obs,
-                &TraceEvent::CorrelatedFaultTriggered {
-                    domain: di,
-                    source,
-                    sibling: sib,
-                    until,
-                    at: now,
-                },
-            );
+            obs.on_event(&TraceEvent::CorrelatedFaultTriggered {
+                domain: di,
+                source,
+                sibling: sib,
+                until,
+                at: now,
+            });
         }
     }
 }
@@ -1051,9 +1048,7 @@ impl<'a> Sim<'a> {
                 per_device,
             },
         };
-        if self.obs.enabled() {
-            self.obs.on_run_end(&report);
-        }
+        self.obs.on_run_end(&report);
         report
     }
 
@@ -1207,24 +1202,19 @@ impl<'a> Sim<'a> {
                     f.counters.failovers += 1;
                     f.suppress_complete[t.0] = true;
                 }
-                route_event(
-                    &mut *self.obs,
-                    &TraceEvent::Failover {
-                        task: t,
-                        from: dev,
-                        to: target,
-                        at: self.now,
-                    },
-                );
+                self.obs.on_event(&TraceEvent::Failover {
+                    task: t,
+                    from: dev,
+                    to: target,
+                    at: self.now,
+                });
                 dev = target;
             }
         }
         self.placements[t.0] = Some(dev);
         self.dev_queues[dev.0].push_back(t);
-        if self.obs.enabled() {
-            let depth = self.dev_queues[dev.0].len();
-            self.obs.on_task_bound(t, dev, self.now, depth);
-        }
+        let depth = self.dev_queues[dev.0].len();
+        self.obs.on_task_bound(t, dev, self.now, depth);
     }
 
     fn dispatch_all(&mut self) {
@@ -1379,30 +1369,24 @@ impl<'a> Sim<'a> {
                             f.booked_loss[t.0] += ddt;
                             cost.fault += ddt;
                             self.counters.record_transfer(tr.bytes, ddt);
-                            route_event(
-                                &mut *self.obs,
-                                &TraceEvent::TransferRetry {
-                                    from: tr.from,
-                                    to: tr.to,
-                                    bytes: tr.bytes,
-                                    start: self.now + busy,
-                                    end: self.now + busy + ddt,
-                                },
-                            );
+                            self.obs.on_event(&TraceEvent::TransferRetry {
+                                from: tr.from,
+                                to: tr.to,
+                                bytes: tr.bytes,
+                                start: self.now + busy,
+                                end: self.now + busy + ddt,
+                            });
                             busy += ddt;
                             attempts += 1;
                         }
                     }
-                    route_event(
-                        &mut *self.obs,
-                        &TraceEvent::Transfer {
-                            from: tr.from,
-                            to: tr.to,
-                            bytes: tr.bytes,
-                            start: self.now + busy,
-                            end: self.now + busy + ddt,
-                        },
-                    );
+                    self.obs.on_event(&TraceEvent::Transfer {
+                        from: tr.from,
+                        to: tr.to,
+                        bytes: tr.bytes,
+                        start: self.now + busy,
+                        end: self.now + busy + ddt,
+                    });
                     busy += ddt;
                     nominal += ndt;
                     // The slowdown beyond the nominal wire is link blame;
@@ -1444,15 +1428,12 @@ impl<'a> Sim<'a> {
                 f.booked_loss[t.0] += this_exec;
                 cost.fault += this_exec;
                 busy += this_exec;
-                route_event(
-                    &mut *self.obs,
-                    &TraceEvent::TaskFault {
-                        task: t,
-                        dev,
-                        attempt,
-                        at: self.now + busy,
-                    },
-                );
+                self.obs.on_event(&TraceEvent::TaskFault {
+                    task: t,
+                    dev,
+                    attempt,
+                    at: self.now + busy,
+                });
                 // A member fault may raise sibling fault probability for a
                 // window (correlated fault domains).
                 trigger_correlated(f, &mut *self.obs, dev, self.now + busy);
@@ -1514,16 +1495,13 @@ impl<'a> Sim<'a> {
             }
             self.cost_of[t.0] = cost;
             self.apply_blame(dev, cost);
-            route_event(
-                &mut *self.obs,
-                &TraceEvent::SlotHeld {
-                    task: t,
-                    kernel: task.kernel,
-                    dev,
-                    start: self.now,
-                    end: self.now + busy,
-                },
-            );
+            self.obs.on_event(&TraceEvent::SlotHeld {
+                task: t,
+                kernel: task.kernel,
+                dev,
+                start: self.now,
+                end: self.now + busy,
+            });
             return (busy, nominal, true);
         }
 
@@ -1564,17 +1542,14 @@ impl<'a> Sim<'a> {
         }
         self.cal_exec[dev.0] += exec.as_secs_f64();
         self.cal_model[dev.0] += base_exec.as_secs_f64();
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::Task {
-                task: t,
-                kernel: task.kernel,
-                dev,
-                items: task.items,
-                start: self.now,
-                end: self.now + busy,
-            },
-        );
+        self.obs.on_event(&TraceEvent::Task {
+            task: t,
+            kernel: task.kernel,
+            dev,
+            items: task.items,
+            start: self.now,
+            end: self.now + busy,
+        });
         (busy, nominal, false)
     }
 
@@ -1594,9 +1569,6 @@ impl<'a> Sim<'a> {
         self.completed[t.0] = true;
         self.free_slots[dev.0] += 1;
         self.dev_last_done[dev.0] = self.dev_last_done[dev.0].max(self.now);
-        if self.obs.enabled() {
-            self.obs.on_task_done(t, dev, self.now);
-        }
         let task = self.tasks[t.0];
         let suppress = if let Some(f) = &mut self.faults {
             f.in_flight[t.0] = false;
@@ -1708,15 +1680,12 @@ impl<'a> Sim<'a> {
         self.observe(dev, false, Some(t));
         let unavail = self.unavailable();
         let target = fallback_device(self.platform, &unavail, Some(dev));
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::Failover {
-                task: t,
-                from: dev,
-                to: target,
-                at: self.now,
-            },
-        );
+        self.obs.on_event(&TraceEvent::Failover {
+            task: t,
+            from: dev,
+            to: target,
+            at: self.now,
+        });
         self.placements[t.0] = Some(target);
         self.dev_queues[target.0].push_back(t);
         self.dispatch_all();
@@ -1747,10 +1716,8 @@ impl<'a> Sim<'a> {
         }
         self.free_slots[dev.0] = 0;
         self.death_at[dev.0] = Some(self.now);
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::DeviceDropout { dev, at: self.now },
-        );
+        self.obs
+            .on_event(&TraceEvent::DeviceDropout { dev, at: self.now });
 
         // Hedge bookkeeping: a hedge whose peer died is lost (a
         // designated-winner's primary completion is revived), and a hedge
@@ -2034,10 +2001,8 @@ impl<'a> Sim<'a> {
                 {
                     span.until = Some(self.now);
                 }
-                route_event(
-                    &mut *self.obs,
-                    &TraceEvent::CircuitClose { dev, at: self.now },
-                );
+                self.obs
+                    .on_event(&TraceEvent::CircuitClose { dev, at: self.now });
                 // Healing re-plan: the readmitted device is a survivor
                 // again; re-solve and migrate work back onto it (mirrors
                 // PR 5's disturbance-aware de-escalation).
@@ -2078,10 +2043,8 @@ impl<'a> Sim<'a> {
                 until: None,
             });
         }
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::CircuitOpen { dev, at: self.now },
-        );
+        self.obs
+            .on_event(&TraceEvent::CircuitOpen { dev, at: self.now });
         self.queue
             .push(self.now + cooldown, Ev::CircuitProbe { dev });
         // Survivor re-planning before the naive drain: a successful repair
@@ -2200,15 +2163,12 @@ impl<'a> Sim<'a> {
             launched: self.now,
             winner,
         });
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::HedgeLaunched {
-                task: t,
-                from: primary,
-                to: peer,
-                at: self.now,
-            },
-        );
+        self.obs.on_event(&TraceEvent::HedgeLaunched {
+            task: t,
+            from: primary,
+            to: peer,
+            at: self.now,
+        });
     }
 
     /// A winning hedged duplicate finished: cancel the straggling primary
@@ -2271,28 +2231,19 @@ impl<'a> Sim<'a> {
         self.free_slots[peer.0] += 1;
         self.dev_last_done[peer.0] = self.dev_last_done[peer.0].max(self.now);
         self.completed[t.0] = true;
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::Task {
-                task: t,
-                kernel: task.kernel,
-                dev: peer,
-                items: task.items,
-                start: hd.launched,
-                end: self.now,
-            },
-        );
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::HedgeWon {
-                task: t,
-                dev: peer,
-                at: self.now,
-            },
-        );
-        if self.obs.enabled() {
-            self.obs.on_task_done(t, peer, self.now);
-        }
+        self.obs.on_event(&TraceEvent::Task {
+            task: t,
+            kernel: task.kernel,
+            dev: peer,
+            items: task.items,
+            start: hd.launched,
+            end: self.now,
+        });
+        self.obs.on_event(&TraceEvent::HedgeWon {
+            task: t,
+            dev: peer,
+            at: self.now,
+        });
         self.observe(peer, true, Some(t));
         self.release_and_advance(t);
     }
@@ -2372,14 +2323,11 @@ impl<'a> Sim<'a> {
             if self.faults.as_ref().is_some_and(|f| f.corrupt[t.0]) {
                 any = true;
                 h.report.corruptions_detected += 1;
-                route_event(
-                    &mut *self.obs,
-                    &TraceEvent::CorruptionDetected {
-                        task: t,
-                        dev: placed,
-                        at: end,
-                    },
-                );
+                self.obs.on_event(&TraceEvent::CorruptionDetected {
+                    task: t,
+                    dev: placed,
+                    at: end,
+                });
                 bad_obs.push((placed, t));
             }
         }
@@ -2512,14 +2460,11 @@ impl<'a> Sim<'a> {
             }
         };
         if imbalanced {
-            route_event(
-                &mut *self.obs,
-                &TraceEvent::ImbalanceDetected {
-                    epoch: self.cur_epoch,
-                    skew,
-                    at: self.now,
-                },
-            );
+            self.obs.on_event(&TraceEvent::ImbalanceDetected {
+                epoch: self.cur_epoch,
+                skew,
+                at: self.now,
+            });
         }
         // De-escalation: an escalated run watches for calm barriers and
         // hands the remaining epochs back to the static plan once the
@@ -2750,15 +2695,12 @@ impl<'a> Sim<'a> {
                 totals
             }
         };
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::Repartitioned {
-                epoch: self.cur_epoch,
-                gpu_items,
-                cpu_items,
-                at: self.now,
-            },
-        );
+        self.obs.on_event(&TraceEvent::Repartitioned {
+            epoch: self.cur_epoch,
+            gpu_items,
+            cpu_items,
+            at: self.now,
+        });
     }
 
     /// The N-way sibling of [`Sim::repartition`]: re-solve the plan's
@@ -2797,15 +2739,12 @@ impl<'a> Sim<'a> {
             .and_then(|p| p.multi.as_ref())
             .map(|m| (m.solution.accel_items.iter().sum(), m.solution.cpu_items))
             .unwrap_or((0, 0));
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::Repartitioned {
-                epoch: self.cur_epoch,
-                gpu_items,
-                cpu_items,
-                at: self.now,
-            },
-        );
+        self.obs.on_event(&TraceEvent::Repartitioned {
+            epoch: self.cur_epoch,
+            gpu_items,
+            cpu_items,
+            at: self.now,
+        });
     }
 
     /// Re-solve the plan's stored N-way split over the *surviving*
@@ -3170,7 +3109,7 @@ impl<'a> Sim<'a> {
                 at: self.now,
             }
         };
-        route_event(&mut *self.obs, &ev);
+        self.obs.on_event(&ev);
         true
     }
 
@@ -3201,13 +3140,10 @@ impl<'a> Sim<'a> {
         a.calm_barriers = 0; // a fresh escalation starts a fresh calm count
         a.report.escalated = true;
         a.report.escalated_at_epoch = Some(self.cur_epoch);
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::StrategyEscalated {
-                epoch: self.cur_epoch,
-                at: self.now,
-            },
-        );
+        self.obs.on_event(&TraceEvent::StrategyEscalated {
+            epoch: self.cur_epoch,
+            at: self.now,
+        });
     }
 
     /// Disturbance-aware de-escalation (ROADMAP: "plan reinstatement").
@@ -3314,13 +3250,10 @@ impl<'a> Sim<'a> {
         a.resolves_since_balance = 0;
         a.report.reinstated = true;
         a.report.reinstated_at_epoch = Some(self.cur_epoch);
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::StrategyReinstated {
-                epoch: self.cur_epoch,
-                at: now,
-            },
-        );
+        self.obs.on_event(&TraceEvent::StrategyReinstated {
+            epoch: self.cur_epoch,
+            at: now,
+        });
     }
 
     fn on_epoch_flushed(&mut self) {
@@ -3460,25 +3393,19 @@ impl<'a> Sim<'a> {
             *cursor = t0 + dt;
             flush_start = flush_start.min(t0);
             flush_end = flush_end.max(*cursor);
-            route_event(
-                &mut *self.obs,
-                &TraceEvent::Transfer {
-                    from: tr.from,
-                    to: tr.to,
-                    bytes: tr.bytes,
-                    start: t0,
-                    end: t0 + dt,
-                },
-            );
+            self.obs.on_event(&TraceEvent::Transfer {
+                from: tr.from,
+                to: tr.to,
+                bytes: tr.bytes,
+                start: t0,
+                end: t0 + dt,
+            });
         }
-        route_event(
-            &mut *self.obs,
-            &TraceEvent::Flush {
-                epoch: self.flushes_done,
-                start: flush_start.min(self.now),
-                end: flush_end,
-            },
-        );
+        self.obs.on_event(&TraceEvent::Flush {
+            epoch: self.flushes_done,
+            start: flush_start.min(self.now),
+            end: flush_end,
+        });
         self.flushes_done += 1;
         self.queue.push(flush_end, Ev::EpochFlushed);
     }

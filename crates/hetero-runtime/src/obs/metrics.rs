@@ -12,7 +12,7 @@
 use crate::program::{KernelId, TaskId};
 use crate::stats::RunReport;
 use crate::trace::TraceEvent;
-use hetero_platform::{DeviceId, MemSpaceId, Platform, SimTime};
+use hetero_platform::{DeviceId, Platform, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -412,52 +412,15 @@ impl MetricsObserver {
         self.registry
     }
 
-    fn fault_kind(ev: &TraceEvent) -> &'static str {
-        match ev {
-            TraceEvent::TaskFault { .. } => "task_fault",
-            TraceEvent::TransferRetry { .. } => "transfer_retry",
-            TraceEvent::DeviceDropout { .. } => "dropout",
-            TraceEvent::Failover { .. } => "failover",
-            TraceEvent::HedgeLaunched { .. } => "hedge_launched",
-            TraceEvent::HedgeWon { .. } => "hedge_won",
-            TraceEvent::CorruptionDetected { .. } => "corruption_detected",
-            TraceEvent::CircuitOpen { .. } => "circuit_open",
-            TraceEvent::CircuitClose { .. } => "circuit_close",
-            TraceEvent::CorrelatedFaultTriggered { .. } => "correlated",
-            _ => "other",
-        }
-    }
-
-    fn adapt_kind(ev: &TraceEvent) -> &'static str {
-        match ev {
-            TraceEvent::ImbalanceDetected { .. } => "imbalance_detected",
-            TraceEvent::Repartitioned { .. } => "repartitioned",
-            TraceEvent::StrategyEscalated { .. } => "escalated",
-            TraceEvent::StrategyReinstated { .. } => "reinstated",
-            TraceEvent::PlanRepaired { .. } => "plan_repaired",
-            TraceEvent::DeviceReadmitted { .. } => "device_readmitted",
-            _ => "other",
-        }
-    }
-
     fn dev_name(&self, dev: DeviceId) -> &str {
         self.dev_names
             .get(dev.0)
             .map(String::as_str)
             .unwrap_or("unknown")
     }
-}
 
-impl Observer for MetricsObserver {
-    fn on_task_start(
-        &mut self,
-        _task: TaskId,
-        kernel: KernelId,
-        dev: DeviceId,
-        items: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
+    /// A task instance committed `slot` of occupancy on `dev`.
+    fn task_slot(&mut self, kernel: KernelId, dev: DeviceId, items: u64, slot: SimTime) {
         let strategy = self.strategy.clone();
         let device = self.dev_name(dev).to_string();
         let kernel = format!("k{}", kernel.0);
@@ -482,29 +445,15 @@ impl Observer for MetricsObserver {
             "hm_task_slot_seconds",
             "Slot occupancy per task instance (transfers + attempts + execution).",
             labels,
-            end.saturating_sub(start),
+            slot,
         );
         if let Some(b) = self.epoch_busy.get_mut(dev.0) {
-            *b += end.saturating_sub(start);
+            *b += slot;
         }
     }
 
-    fn on_task_bound(&mut self, _task: TaskId, dev: DeviceId, _at: SimTime, queue_depth: usize) {
-        if let Some(p) = self.queue_peak.get_mut(dev.0) {
-            if queue_depth > *p {
-                *p = queue_depth;
-            }
-        }
-    }
-
-    fn on_transfer(
-        &mut self,
-        _from: MemSpaceId,
-        _to: MemSpaceId,
-        bytes: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
+    /// A coherence or write-back transfer of `bytes` took `latency`.
+    fn transfer(&mut self, bytes: u64, latency: SimTime) {
         let strategy = self.strategy.clone();
         let labels: &[(&str, &str)] = &[("strategy", strategy.as_str())];
         self.registry.counter_add(
@@ -523,11 +472,13 @@ impl Observer for MetricsObserver {
             "hm_transfer_seconds",
             "Latency per transfer.",
             labels,
-            end.saturating_sub(start),
+            latency,
         );
     }
 
-    fn on_epoch_end(&mut self, epoch: usize, _start: SimTime, end: SimTime) {
+    /// Flush `epoch` ended at `end`: publish each device's utilization
+    /// over the window since the previous flush.
+    fn epoch_end(&mut self, epoch: usize, end: SimTime) {
         let strategy = self.strategy.clone();
         let window = end.saturating_sub(self.last_flush_end);
         let epoch_s = format!("{epoch}");
@@ -554,30 +505,67 @@ impl Observer for MetricsObserver {
         self.last_flush_end = end;
     }
 
-    fn on_fault(&mut self, ev: &TraceEvent) {
+    /// Count one event of `kind` in a `(name, help)` counter family.
+    fn count(&mut self, (name, help): (&str, &str), kind: &str) {
         let strategy = self.strategy.clone();
         self.registry.counter_add(
-            "hm_faults_total",
-            "Fault and mitigation events by kind.",
-            &[
-                ("kind", Self::fault_kind(ev)),
-                ("strategy", strategy.as_str()),
-            ],
+            name,
+            help,
+            &[("kind", kind), ("strategy", strategy.as_str())],
             1,
         );
     }
+}
 
-    fn on_adapt_action(&mut self, ev: &TraceEvent) {
-        let strategy = self.strategy.clone();
-        self.registry.counter_add(
-            "hm_adapt_total",
-            "Adaptation events by kind.",
-            &[
-                ("kind", Self::adapt_kind(ev)),
-                ("strategy", strategy.as_str()),
-            ],
-            1,
-        );
+const FAULTS: (&str, &str) = ("hm_faults_total", "Fault and mitigation events by kind.");
+const ADAPT: (&str, &str) = ("hm_adapt_total", "Adaptation events by kind.");
+
+impl Observer for MetricsObserver {
+    /// The match is exhaustive on purpose: adding a [`TraceEvent`] variant
+    /// without deciding which metrics it feeds is a compile error.
+    fn on_event(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::Task {
+                kernel,
+                dev,
+                items,
+                start,
+                end,
+                ..
+            } => self.task_slot(kernel, dev, items, end.saturating_sub(start)),
+            TraceEvent::Transfer {
+                bytes, start, end, ..
+            } => self.transfer(bytes, end.saturating_sub(start)),
+            TraceEvent::Flush { epoch, end, .. } => self.epoch_end(epoch, end),
+            // A held slot is pure occupancy geometry: its per-attempt
+            // faults already arrived as `TaskFault` events, so the span
+            // feeds trace recording and span trees, never the metrics.
+            TraceEvent::SlotHeld { .. } => {}
+            TraceEvent::TaskFault { .. } => self.count(FAULTS, "task_fault"),
+            TraceEvent::TransferRetry { .. } => self.count(FAULTS, "transfer_retry"),
+            TraceEvent::DeviceDropout { .. } => self.count(FAULTS, "dropout"),
+            TraceEvent::Failover { .. } => self.count(FAULTS, "failover"),
+            TraceEvent::HedgeLaunched { .. } => self.count(FAULTS, "hedge_launched"),
+            TraceEvent::HedgeWon { .. } => self.count(FAULTS, "hedge_won"),
+            TraceEvent::CorruptionDetected { .. } => self.count(FAULTS, "corruption_detected"),
+            TraceEvent::CircuitOpen { .. } => self.count(FAULTS, "circuit_open"),
+            TraceEvent::CircuitClose { .. } => self.count(FAULTS, "circuit_close"),
+            TraceEvent::CorrelatedFaultTriggered { .. } => self.count(FAULTS, "correlated"),
+            TraceEvent::ImbalanceDetected { .. } => self.count(ADAPT, "imbalance_detected"),
+            TraceEvent::Repartitioned { .. } => self.count(ADAPT, "repartitioned"),
+            TraceEvent::StrategyEscalated { .. } => self.count(ADAPT, "escalated"),
+            TraceEvent::StrategyReinstated { .. } => self.count(ADAPT, "reinstated"),
+            TraceEvent::PlanRepaired { .. } => self.count(ADAPT, "plan_repaired"),
+            TraceEvent::DeviceReadmitted { .. } => self.count(ADAPT, "device_readmitted"),
+        }
+    }
+
+    fn on_task_bound(&mut self, _task: TaskId, dev: DeviceId, _at: SimTime, queue_depth: usize) {
+        if let Some(p) = self.queue_peak.get_mut(dev.0) {
+            if queue_depth > *p {
+                *p = queue_depth;
+            }
+        }
     }
 
     fn on_run_end(&mut self, report: &RunReport) {

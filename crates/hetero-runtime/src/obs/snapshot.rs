@@ -20,10 +20,10 @@ use std::collections::BTreeSet;
 
 use super::metrics::{MetricsObserver, MetricsRegistry, Series, SeriesValue};
 use super::Observer;
-use crate::program::{KernelId, TaskId};
+use crate::program::TaskId;
 use crate::stats::RunReport;
 use crate::trace::TraceEvent;
-use hetero_platform::{DeviceId, MemSpaceId, Platform, SimTime};
+use hetero_platform::{DeviceId, Platform, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Open quarantine/disturbance state at a snapshot point.
@@ -262,48 +262,8 @@ impl SnapshotObserver {
 impl Observer for SnapshotObserver {
     fn on_event(&mut self, ev: &TraceEvent) {
         self.inner.on_event(ev);
-    }
-
-    fn on_task_start(
-        &mut self,
-        task: TaskId,
-        kernel: KernelId,
-        dev: DeviceId,
-        items: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        self.inner
-            .on_task_start(task, kernel, dev, items, start, end);
-    }
-
-    fn on_task_done(&mut self, task: TaskId, dev: DeviceId, at: SimTime) {
-        self.inner.on_task_done(task, dev, at);
-    }
-
-    fn on_task_bound(&mut self, task: TaskId, dev: DeviceId, at: SimTime, queue_depth: usize) {
-        self.inner.on_task_bound(task, dev, at, queue_depth);
-    }
-
-    fn on_transfer(
-        &mut self,
-        from: MemSpaceId,
-        to: MemSpaceId,
-        bytes: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        self.inner.on_transfer(from, to, bytes, start, end);
-    }
-
-    fn on_epoch_end(&mut self, epoch: usize, start: SimTime, end: SimTime) {
-        self.inner.on_epoch_end(epoch, start, end);
-        self.emit(Some(epoch as u64), end);
-    }
-
-    fn on_fault(&mut self, ev: &TraceEvent) {
-        self.inner.on_fault(ev);
-        match ev {
+        match *ev {
+            TraceEvent::Flush { epoch, end, .. } => self.emit(Some(epoch as u64), end),
             TraceEvent::CircuitOpen { dev, .. } => {
                 self.quarantined.insert(dev.0);
             }
@@ -314,14 +274,14 @@ impl Observer for SnapshotObserver {
                 self.dead.insert(dev.0);
             }
             TraceEvent::CorrelatedFaultTriggered { until, .. } => {
-                self.correlated_until.push(*until);
+                self.correlated_until.push(until);
             }
             _ => {}
         }
     }
 
-    fn on_adapt_action(&mut self, ev: &TraceEvent) {
-        self.inner.on_adapt_action(ev);
+    fn on_task_bound(&mut self, task: TaskId, dev: DeviceId, at: SimTime, queue_depth: usize) {
+        self.inner.on_task_bound(task, dev, at, queue_depth);
     }
 
     fn on_run_end(&mut self, report: &RunReport) {
@@ -333,7 +293,7 @@ impl Observer for SnapshotObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::route_event;
+    use crate::program::KernelId;
 
     #[test]
     fn deltas_fold_back_to_the_registry() {
@@ -341,44 +301,32 @@ mod tests {
         let mut obs = SnapshotObserver::new(&platform, "test");
         // Two epochs of synthetic activity.
         let t = |us| SimTime::from_micros(us);
-        route_event(
-            &mut obs,
-            &TraceEvent::Task {
-                task: TaskId(0),
-                kernel: KernelId(0),
-                dev: DeviceId(0),
-                items: 100,
-                start: t(0),
-                end: t(10),
-            },
-        );
-        route_event(
-            &mut obs,
-            &TraceEvent::Flush {
-                epoch: 0,
-                start: t(10),
-                end: t(12),
-            },
-        );
-        route_event(
-            &mut obs,
-            &TraceEvent::Task {
-                task: TaskId(1),
-                kernel: KernelId(0),
-                dev: DeviceId(1),
-                items: 50,
-                start: t(12),
-                end: t(30),
-            },
-        );
-        route_event(
-            &mut obs,
-            &TraceEvent::Flush {
-                epoch: 1,
-                start: t(30),
-                end: t(31),
-            },
-        );
+        obs.on_event(&TraceEvent::Task {
+            task: TaskId(0),
+            kernel: KernelId(0),
+            dev: DeviceId(0),
+            items: 100,
+            start: t(0),
+            end: t(10),
+        });
+        obs.on_event(&TraceEvent::Flush {
+            epoch: 0,
+            start: t(10),
+            end: t(12),
+        });
+        obs.on_event(&TraceEvent::Task {
+            task: TaskId(1),
+            kernel: KernelId(0),
+            dev: DeviceId(1),
+            items: 50,
+            start: t(12),
+            end: t(30),
+        });
+        obs.on_event(&TraceEvent::Flush {
+            epoch: 1,
+            start: t(30),
+            end: t(31),
+        });
         assert_eq!(obs.lines().len(), 2);
         let folded = fold_stream(&obs.stream()).unwrap();
         assert_eq!(folded.to_json(), obs.registry().to_json());
@@ -397,46 +345,31 @@ mod tests {
         let platform = Platform::test_small();
         let mut obs = SnapshotObserver::new(&platform, "test");
         let t = |us| SimTime::from_micros(us);
-        route_event(
-            &mut obs,
-            &TraceEvent::CircuitOpen {
-                dev: DeviceId(1),
-                at: t(1),
-            },
-        );
-        route_event(
-            &mut obs,
-            &TraceEvent::DeviceDropout {
-                dev: DeviceId(0),
-                at: t(2),
-            },
-        );
-        route_event(
-            &mut obs,
-            &TraceEvent::Flush {
-                epoch: 0,
-                start: t(3),
-                end: t(4),
-            },
-        );
+        obs.on_event(&TraceEvent::CircuitOpen {
+            dev: DeviceId(1),
+            at: t(1),
+        });
+        obs.on_event(&TraceEvent::DeviceDropout {
+            dev: DeviceId(0),
+            at: t(2),
+        });
+        obs.on_event(&TraceEvent::Flush {
+            epoch: 0,
+            start: t(3),
+            end: t(4),
+        });
         let snap: EpochSnapshot = serde_json::from_str(&obs.lines()[0]).unwrap();
         assert_eq!(snap.open.quarantined, vec![1]);
         assert_eq!(snap.open.dead, vec![0]);
-        route_event(
-            &mut obs,
-            &TraceEvent::CircuitClose {
-                dev: DeviceId(1),
-                at: t(5),
-            },
-        );
-        route_event(
-            &mut obs,
-            &TraceEvent::Flush {
-                epoch: 1,
-                start: t(6),
-                end: t(7),
-            },
-        );
+        obs.on_event(&TraceEvent::CircuitClose {
+            dev: DeviceId(1),
+            at: t(5),
+        });
+        obs.on_event(&TraceEvent::Flush {
+            epoch: 1,
+            start: t(6),
+            end: t(7),
+        });
         let snap: EpochSnapshot = serde_json::from_str(&obs.lines()[1]).unwrap();
         assert!(snap.open.quarantined.is_empty());
         assert_eq!(snap.open.dead, vec![0]);

@@ -12,16 +12,18 @@
 //!
 //! Exports: Brendan-Gregg folded stacks ([`SpanTree::to_folded`], loadable
 //! by speedscope and `flamegraph.pl` — `matchmake flame`), Chrome
-//! trace-event flow arrows splicing causal links into
-//! [`Trace::to_chrome_json`] output ([`SpanTree::to_chrome_json_with_flows`]),
+//! trace-event flow arrows appended to the events [`Trace::to_chrome_json`]
+//! renders, built once by the same builder so each arrow lands on its
+//! slot's lane ([`SpanTree::to_chrome_json_with_flows`]),
 //! and `hm_span_seconds{kind}` gauges ([`SpanTree::export_metrics`]) whose
 //! task/dead/idle kinds exactly tile `makespan × slots` — the same total
 //! the blame identity accounts for, checked by `tests/observability.rs`.
 
 use super::metrics::MetricsRegistry;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent, MARKER_LANE};
 use hetero_platform::{Platform, SimTime};
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 /// What a [`Span`] represents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -655,47 +657,13 @@ impl SpanTree {
         out
     }
 
-    /// [`Trace::to_chrome_json`] with causal flow arrows spliced in:
+    /// [`Trace::to_chrome_json`] with causal flow arrows appended:
     /// `ph:"s"`/`ph:"f"` event pairs linking each failover and hedge launch
     /// to the task slot it caused, and each repartition/plan-repair/
-    /// readmission to the first task dispatched after it. Lane (tid)
-    /// assignment replays the chrome exporter's greedy algorithm so arrows
-    /// land on the rendered slices.
+    /// readmission to the first task dispatched after it. Arrows land on
+    /// the lanes (tids) the Chrome export gave those slots.
     pub fn to_chrome_json_with_flows(trace: &Trace, platform: &Platform) -> String {
-        // Replay the chrome exporter's global greedy lane assignment.
-        let mut lanes: Vec<Vec<SimTime>> = platform.devices.iter().map(|_| Vec::new()).collect();
-        // (task, dev, start, lane) per slot, in trace order.
-        let mut slots: Vec<(usize, usize, SimTime, usize)> = Vec::new();
-        for e in &trace.events {
-            if let TraceEvent::Task {
-                task,
-                dev,
-                start,
-                end,
-                ..
-            }
-            | TraceEvent::SlotHeld {
-                task,
-                dev,
-                start,
-                end,
-                ..
-            } = e
-            {
-                let ls = &mut lanes[dev.0];
-                let lane = match ls.iter().position(|&free| free <= *start) {
-                    Some(i) => {
-                        ls[i] = *end;
-                        i
-                    }
-                    None => {
-                        ls.push(*end);
-                        ls.len() - 1
-                    }
-                };
-                slots.push((task.0, dev.0, *start, lane));
-            }
-        }
+        let (mut events, slots) = trace.chrome_events(platform);
         let next_slot = |task: usize, dev: usize, at: SimTime| {
             slots
                 .iter()
@@ -703,90 +671,58 @@ impl SpanTree {
                 .copied()
         };
         let first_slot_after = |at: SimTime| slots.iter().find(|&&(_, _, s, _)| s >= at).copied();
-        let mut flows: Vec<serde_json::Value> = Vec::new();
+        let interconnect = platform.devices.len();
         let mut id = 0u64;
-        let mut arrow = |name: String,
-                         from: (usize, usize, SimTime),
-                         to: (usize, usize, SimTime),
-                         flows: &mut Vec<serde_json::Value>| {
+        for e in &trace.events {
+            let (name, source, target) = match *e {
+                TraceEvent::Failover { task, from, to, at } => (
+                    format!("failover task{}", task.0),
+                    (from.0, at),
+                    next_slot(task.0, to.0, at),
+                ),
+                TraceEvent::HedgeLaunched { task, from, to, at } => (
+                    format!("hedge task{}", task.0),
+                    (from.0, at),
+                    next_slot(task.0, to.0, at),
+                ),
+                TraceEvent::Repartitioned { epoch, at, .. } => (
+                    format!("repartition epoch {epoch}"),
+                    (interconnect, at),
+                    first_slot_after(at),
+                ),
+                TraceEvent::PlanRepaired { dev, at, .. } => (
+                    format!("plan repair after dev{}", dev.0),
+                    (interconnect, at),
+                    first_slot_after(at),
+                ),
+                TraceEvent::DeviceReadmitted { dev, at, .. } => (
+                    format!("readmit dev{}", dev.0),
+                    (interconnect, at),
+                    first_slot_after(at),
+                ),
+                _ => continue,
+            };
+            let Some((_, dev, start, lane)) = target else {
+                continue;
+            };
             id += 1;
-            for (ph, (pid, tid, ts)) in [("s", from), ("f", to)] {
+            let (pid, at) = source;
+            for (ph, pid, tid, ts) in [("s", pid, MARKER_LANE, at), ("f", dev, lane, start)] {
                 let mut m = vec![
-                    ("name".to_string(), serde_json::Value::Str(name.clone())),
-                    ("ph".to_string(), serde_json::Value::Str(ph.into())),
-                    ("id".to_string(), serde_json::Value::U64(id)),
-                    ("ts".to_string(), serde_json::Value::F64(ts.as_micros_f64())),
-                    ("pid".to_string(), serde_json::Value::U64(pid as u64)),
-                    ("tid".to_string(), serde_json::Value::U64(tid as u64)),
+                    ("name".to_string(), Value::Str(name.clone())),
+                    ("ph".to_string(), Value::Str(ph.into())),
+                    ("id".to_string(), Value::U64(id)),
+                    ("ts".to_string(), Value::F64(ts.as_micros_f64())),
+                    ("pid".to_string(), Value::U64(pid as u64)),
+                    ("tid".to_string(), Value::U64(tid as u64)),
                 ];
                 if ph == "f" {
-                    m.push(("bp".to_string(), serde_json::Value::Str("e".into())));
+                    m.push(("bp".to_string(), Value::Str("e".into())));
                 }
-                flows.push(serde_json::Value::Map(m));
-            }
-        };
-        let interconnect = platform.devices.len();
-        for e in &trace.events {
-            match e {
-                TraceEvent::Failover { task, from, to, at } => {
-                    if let Some((_, d, s, lane)) = next_slot(task.0, to.0, *at) {
-                        arrow(
-                            format!("failover task{}", task.0),
-                            (from.0, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                TraceEvent::HedgeLaunched { task, from, to, at } => {
-                    if let Some((_, d, s, lane)) = next_slot(task.0, to.0, *at) {
-                        arrow(
-                            format!("hedge task{}", task.0),
-                            (from.0, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                TraceEvent::Repartitioned { epoch, at, .. } => {
-                    if let Some((_, d, s, lane)) = first_slot_after(*at) {
-                        arrow(
-                            format!("repartition epoch {epoch}"),
-                            (interconnect, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                TraceEvent::PlanRepaired { dev, at, .. } => {
-                    if let Some((_, d, s, lane)) = first_slot_after(*at) {
-                        arrow(
-                            format!("plan repair after dev{}", dev.0),
-                            (interconnect, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                TraceEvent::DeviceReadmitted { dev, at, .. } => {
-                    if let Some((_, d, s, lane)) = first_slot_after(*at) {
-                        arrow(
-                            format!("readmit dev{}", dev.0),
-                            (interconnect, 63, *at),
-                            (d, lane, s),
-                            &mut flows,
-                        );
-                    }
-                }
-                _ => {}
+                events.push(Value::Map(m));
             }
         }
-        let base = trace.to_chrome_json(platform);
-        let mut all: serde_json::Value = serde_json::from_str(&base).expect("chrome JSON parses");
-        if let serde_json::Value::Seq(events) = &mut all {
-            events.extend(flows);
-        }
-        serde_json::to_string_pretty(&all).expect("chrome JSON serializes")
+        serde_json::to_string_pretty(&events).expect("chrome JSON serializes")
     }
 }
 

@@ -9,6 +9,7 @@
 use crate::program::{KernelId, TaskId};
 use hetero_platform::{DeviceId, MemSpaceId, Platform, SimTime};
 use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 
 /// Default bucket count for ASCII gantt rendering, shared by the bench
 /// binary and the examples (`--width` overrides it in `matchmake`).
@@ -402,6 +403,13 @@ impl Trace {
     }
 }
 
+/// One task slot as the Chrome export lays it out: `(task, dev, start,
+/// lane)`, where `lane` is the slot's `tid` on the device's process.
+pub(crate) type ChromeSlot = (usize, usize, SimTime, usize);
+
+/// The `tid` of point markers (faults, mitigations, adaptation actions).
+pub(crate) const MARKER_LANE: usize = 63;
+
 impl Trace {
     /// Export as Chrome trace-event JSON (load in `chrome://tracing` or
     /// Perfetto). Tasks become complete (`"ph":"X"`) events; each device is
@@ -410,86 +418,50 @@ impl Trace {
     /// Transfers and flush windows appear under a synthetic "interconnect"
     /// process.
     pub fn to_chrome_json(&self, platform: &Platform) -> String {
-        #[derive(serde::Serialize)]
-        struct Ev<'a> {
-            name: String,
-            ph: &'a str,
-            ts: f64,
-            dur: f64,
-            pid: usize,
-            tid: usize,
-            args: serde_json::Value,
-        }
-        let mut events: Vec<Ev> = Vec::new();
-        // Greedy lane assignment per device.
-        let mut lanes: Vec<Vec<SimTime>> = platform.devices.iter().map(|_| Vec::new()).collect();
+        let (events, _) = self.chrome_events(platform);
+        serde_json::to_string_pretty(&events).expect("serializable")
+    }
+
+    /// The Chrome trace events of [`Trace::to_chrome_json`], plus every
+    /// task slot's lane in trace order (so flow arrows can land on the
+    /// rendered slices).
+    pub(crate) fn chrome_events(&self, platform: &Platform) -> (Vec<Value>, Vec<ChromeSlot>) {
+        let interconnect = platform.devices.len();
+        let mut events = Vec::new();
+        let mut slots = Vec::new();
+        // Per device, when each lane frees up.
+        let mut lanes: Vec<Vec<SimTime>> = vec![Vec::new(); interconnect];
         // Cumulative per-device slot busy, sampled as a counter track at
         // each flush barrier.
-        let mut cum_busy: Vec<SimTime> = vec![SimTime::ZERO; platform.devices.len()];
+        let mut cum_busy: Vec<SimTime> = vec![SimTime::ZERO; interconnect];
         for e in &self.events {
-            match e {
+            let ev = match *e {
                 TraceEvent::Task {
                     task,
                     kernel,
                     dev,
-                    items,
                     start,
                     end,
-                } => {
-                    cum_busy[dev.0] += *end - *start;
-                    let lane = {
-                        let ls = &mut lanes[dev.0];
-                        match ls.iter().position(|&free| free <= *start) {
-                            Some(i) => {
-                                ls[i] = *end;
-                                i
-                            }
-                            None => {
-                                ls.push(*end);
-                                ls.len() - 1
-                            }
-                        }
-                    };
-                    events.push(Ev {
-                        name: format!("task{} (k{})", task.0, kernel.0),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: dev.0,
-                        tid: lane,
-                        args: serde_json::json!({ "items": items }),
-                    });
+                    ..
                 }
-                TraceEvent::SlotHeld {
+                | TraceEvent::SlotHeld {
                     task,
                     kernel,
                     dev,
                     start,
                     end,
                 } => {
-                    cum_busy[dev.0] += *end - *start;
-                    let lane = {
-                        let ls = &mut lanes[dev.0];
-                        match ls.iter().position(|&free| free <= *start) {
-                            Some(i) => {
-                                ls[i] = *end;
-                                i
-                            }
-                            None => {
-                                ls.push(*end);
-                                ls.len() - 1
-                            }
-                        }
+                    cum_busy[dev.0] += end - start;
+                    let lane = greedy_lane(&mut lanes[dev.0], start, end);
+                    slots.push((task.0, dev.0, start, lane));
+                    let (name, args) = match *e {
+                        TraceEvent::Task { items, .. } => (
+                            format!("task{} (k{})", task.0, kernel.0),
+                            json!({ "items": items }),
+                        ),
+                        _ => (format!("task{} HELD (k{})", task.0, kernel.0), Value::Null),
                     };
-                    events.push(Ev {
-                        name: format!("task{} HELD (k{})", task.0, kernel.0),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: dev.0,
-                        tid: lane,
-                        args: serde_json::Value::Null,
-                    });
+                    chrome_span(name, start, end, dev.0, lane, args)
                 }
                 TraceEvent::Transfer {
                     from,
@@ -497,50 +469,37 @@ impl Trace {
                     bytes,
                     start,
                     end,
-                } => {
-                    events.push(Ev {
-                        name: format!("xfer mem{}->mem{} ({} B)", from.0, to.0, bytes),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: platform.devices.len(),
-                        tid: from.0,
-                        args: serde_json::json!({ "bytes": bytes }),
-                    });
-                }
+                } => chrome_span(
+                    format!("xfer mem{}->mem{} ({} B)", from.0, to.0, bytes),
+                    start,
+                    end,
+                    interconnect,
+                    from.0,
+                    json!({ "bytes": bytes }),
+                ),
                 TraceEvent::Flush { epoch, start, end } => {
-                    events.push(Ev {
-                        name: format!("taskwait flush #{epoch}"),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: platform.devices.len(),
-                        tid: 64,
-                        args: serde_json::Value::Null,
-                    });
+                    let name = format!("taskwait flush #{epoch}");
+                    events.push(chrome_span(name, start, end, interconnect, 64, Value::Null));
                     // Blame counter track: cumulative slot-busy seconds per
                     // device, sampled at each barrier (renders as stacked
                     // counter series in chrome://tracing / Perfetto).
-                    events.push(Ev {
-                        name: String::from("cumulative busy (s)"),
-                        ph: "C",
-                        ts: end.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 65,
-                        args: serde_json::Value::Map(
-                            platform
-                                .devices
-                                .iter()
-                                .map(|d| {
-                                    (
-                                        d.spec.name.clone(),
-                                        serde_json::Value::F64(cum_busy[d.id.0].as_secs_f64()),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    });
+                    let busy = platform
+                        .devices
+                        .iter()
+                        .map(|d| {
+                            let secs = cum_busy[d.id.0].as_secs_f64();
+                            (d.spec.name.clone(), Value::F64(secs))
+                        })
+                        .collect();
+                    chrome_event(
+                        "cumulative busy (s)".into(),
+                        "C",
+                        end.as_micros_f64(),
+                        0.0,
+                        interconnect,
+                        65,
+                        Value::Map(busy),
+                    )
                 }
                 TraceEvent::TransferRetry {
                     from,
@@ -548,207 +507,173 @@ impl Trace {
                     bytes,
                     start,
                     end,
-                } => {
-                    events.push(Ev {
-                        name: format!("xfer RETRY mem{}->mem{} ({} B)", from.0, to.0, bytes),
-                        ph: "X",
-                        ts: start.as_micros_f64(),
-                        dur: (*end - *start).as_micros_f64(),
-                        pid: platform.devices.len(),
-                        tid: from.0,
-                        args: serde_json::json!({ "bytes": bytes }),
-                    });
-                }
+                } => chrome_span(
+                    format!("xfer RETRY mem{}->mem{} ({} B)", from.0, to.0, bytes),
+                    start,
+                    end,
+                    interconnect,
+                    from.0,
+                    json!({ "bytes": bytes }),
+                ),
                 TraceEvent::TaskFault {
                     task,
                     dev,
                     attempt,
                     at,
-                } => {
-                    events.push(Ev {
-                        name: format!("FAULT task{} attempt {attempt}", task.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::json!({ "attempt": attempt }),
-                    });
-                }
+                } => chrome_point(
+                    format!("FAULT task{} attempt {attempt}", task.0),
+                    at,
+                    dev.0,
+                    json!({ "attempt": attempt }),
+                ),
                 TraceEvent::DeviceDropout { dev, at } => {
-                    events.push(Ev {
-                        name: format!("DROPOUT device {}", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
+                    chrome_point(format!("DROPOUT device {}", dev.0), at, dev.0, Value::Null)
                 }
-                TraceEvent::Failover { task, from, to, at } => {
-                    events.push(Ev {
-                        name: format!("FAILOVER task{} dev{}->dev{}", task.0, from.0, to.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: to.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::HedgeLaunched { task, from, to, at } => {
-                    events.push(Ev {
-                        name: format!("HEDGE task{} dev{}->dev{}", task.0, from.0, to.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: to.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
+                TraceEvent::Failover { task, from, to, at } => chrome_point(
+                    format!("FAILOVER task{} dev{}->dev{}", task.0, from.0, to.0),
+                    at,
+                    to.0,
+                    Value::Null,
+                ),
+                TraceEvent::HedgeLaunched { task, from, to, at } => chrome_point(
+                    format!("HEDGE task{} dev{}->dev{}", task.0, from.0, to.0),
+                    at,
+                    to.0,
+                    Value::Null,
+                ),
                 TraceEvent::HedgeWon { task, dev, at } => {
-                    events.push(Ev {
-                        name: format!("HEDGE WON task{}", task.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
+                    chrome_point(format!("HEDGE WON task{}", task.0), at, dev.0, Value::Null)
                 }
                 TraceEvent::CorruptionDetected { task, dev, at } => {
-                    events.push(Ev {
-                        name: format!("CORRUPT task{}", task.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
+                    chrome_point(format!("CORRUPT task{}", task.0), at, dev.0, Value::Null)
                 }
-                TraceEvent::CircuitOpen { dev, at } => {
-                    events.push(Ev {
-                        name: format!("CIRCUIT OPEN device {}", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::CircuitClose { dev, at } => {
-                    events.push(Ev {
-                        name: format!("CIRCUIT CLOSE device {}", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::ImbalanceDetected { epoch, skew, at } => {
-                    events.push(Ev {
-                        name: format!("IMBALANCE epoch {epoch} (skew {skew:.2})"),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::json!({ "skew": skew }),
-                    });
-                }
+                TraceEvent::CircuitOpen { dev, at } => chrome_point(
+                    format!("CIRCUIT OPEN device {}", dev.0),
+                    at,
+                    dev.0,
+                    Value::Null,
+                ),
+                TraceEvent::CircuitClose { dev, at } => chrome_point(
+                    format!("CIRCUIT CLOSE device {}", dev.0),
+                    at,
+                    dev.0,
+                    Value::Null,
+                ),
+                TraceEvent::ImbalanceDetected { epoch, skew, at } => chrome_point(
+                    format!("IMBALANCE epoch {epoch} (skew {skew:.2})"),
+                    at,
+                    interconnect,
+                    json!({ "skew": skew }),
+                ),
                 TraceEvent::Repartitioned {
                     epoch,
                     gpu_items,
                     cpu_items,
                     at,
-                } => {
-                    events.push(Ev {
-                        name: format!(
-                            "REPARTITION epoch {epoch} (gpu {gpu_items} / cpu {cpu_items})"
-                        ),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::json!({ "gpu_items": gpu_items, "cpu_items": cpu_items }),
-                    });
-                }
-                TraceEvent::StrategyEscalated { epoch, at } => {
-                    events.push(Ev {
-                        name: format!("ESCALATE epoch {epoch} -> DP-Perf"),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
+                } => chrome_point(
+                    format!("REPARTITION epoch {epoch} (gpu {gpu_items} / cpu {cpu_items})"),
+                    at,
+                    interconnect,
+                    json!({ "gpu_items": gpu_items, "cpu_items": cpu_items }),
+                ),
+                TraceEvent::StrategyEscalated { epoch, at } => chrome_point(
+                    format!("ESCALATE epoch {epoch} -> DP-Perf"),
+                    at,
+                    interconnect,
+                    Value::Null,
+                ),
                 TraceEvent::CorrelatedFaultTriggered {
                     domain,
                     source,
                     sibling,
                     until,
                     at,
-                } => {
-                    events.push(Ev {
-                        name: format!(
-                            "CORRELATED domain {domain} dev{}->dev{}",
-                            source.0, sibling.0
-                        ),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: sibling.0,
-                        tid: 63,
-                        args: serde_json::json!({ "until_us": until.as_micros_f64() }),
-                    });
-                }
-                TraceEvent::StrategyReinstated { epoch, at } => {
-                    events.push(Ev {
-                        name: format!("REINSTATE epoch {epoch} -> static plan"),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::Value::Null,
-                    });
-                }
-                TraceEvent::PlanRepaired { dev, moved, at } => {
-                    events.push(Ev {
-                        name: format!("PLAN REPAIR after dev{} ({moved} moved)", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: platform.devices.len(),
-                        tid: 63,
-                        args: serde_json::json!({ "moved": moved }),
-                    });
-                }
-                TraceEvent::DeviceReadmitted { dev, moved, at } => {
-                    events.push(Ev {
-                        name: format!("READMIT dev{} ({moved} moved)", dev.0),
-                        ph: "X",
-                        ts: at.as_micros_f64(),
-                        dur: 0.0,
-                        pid: dev.0,
-                        tid: 63,
-                        args: serde_json::json!({ "moved": moved }),
-                    });
-                }
-            }
+                } => chrome_point(
+                    format!(
+                        "CORRELATED domain {domain} dev{}->dev{}",
+                        source.0, sibling.0
+                    ),
+                    at,
+                    sibling.0,
+                    json!({ "until_us": until.as_micros_f64() }),
+                ),
+                TraceEvent::StrategyReinstated { epoch, at } => chrome_point(
+                    format!("REINSTATE epoch {epoch} -> static plan"),
+                    at,
+                    interconnect,
+                    Value::Null,
+                ),
+                TraceEvent::PlanRepaired { dev, moved, at } => chrome_point(
+                    format!("PLAN REPAIR after dev{} ({moved} moved)", dev.0),
+                    at,
+                    interconnect,
+                    json!({ "moved": moved }),
+                ),
+                TraceEvent::DeviceReadmitted { dev, moved, at } => chrome_point(
+                    format!("READMIT dev{} ({moved} moved)", dev.0),
+                    at,
+                    dev.0,
+                    json!({ "moved": moved }),
+                ),
+            };
+            events.push(ev);
         }
-        serde_json::to_string_pretty(&events).expect("serializable")
+        (events, slots)
     }
+}
+
+/// Greedy lane assignment: the first lane free by `start` (else a new
+/// one) takes the slot and stays busy until `end`.
+fn greedy_lane(lanes: &mut Vec<SimTime>, start: SimTime, end: SimTime) -> usize {
+    match lanes.iter().position(|&free| free <= start) {
+        Some(i) => {
+            lanes[i] = end;
+            i
+        }
+        None => {
+            lanes.push(end);
+            lanes.len() - 1
+        }
+    }
+}
+
+/// One Chrome trace event, keys in the exporter's fixed order.
+fn chrome_event(
+    name: String,
+    ph: &str,
+    ts: f64,
+    dur: f64,
+    pid: usize,
+    tid: usize,
+    args: Value,
+) -> Value {
+    Value::Map(vec![
+        ("name".into(), Value::Str(name)),
+        ("ph".into(), Value::Str(ph.into())),
+        ("ts".into(), Value::F64(ts)),
+        ("dur".into(), Value::F64(dur)),
+        ("pid".into(), Value::U64(pid as u64)),
+        ("tid".into(), Value::U64(tid as u64)),
+        ("args".into(), args),
+    ])
+}
+
+/// A complete (`"ph":"X"`) event over `[start, end)`.
+fn chrome_span(
+    name: String,
+    start: SimTime,
+    end: SimTime,
+    pid: usize,
+    tid: usize,
+    args: Value,
+) -> Value {
+    let dur = (end - start).as_micros_f64();
+    chrome_event(name, "X", start.as_micros_f64(), dur, pid, tid, args)
+}
+
+/// A zero-width point marker at `at` on `pid`'s marker lane.
+fn chrome_point(name: String, at: SimTime, pid: usize, args: Value) -> Value {
+    chrome_event(name, "X", at.as_micros_f64(), 0.0, pid, MARKER_LANE, args)
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //!   makespan × slots`) survives arbitrary `LinkDegrade` windows, and a
 //!   degraded link never makes a pinned plan faster;
 //! - de-escalation never loses to staying escalated (the no-regression
-//!   guard), and an open disturbance window blocks reinstatement.
+//!   guard), and an open disturbance window blocks reinstatement;
+//! - `FaultTrace::from_json` decodes every truncated or bit-flipped trace
+//!   to a typed error or a self-consistent trace, never a panic.
 
 use hetero_match::apps::synth;
 use hetero_match::matchmaker::{
@@ -19,6 +21,9 @@ use hetero_match::runtime::{
     AdaptConfig, HealthConfig, NullObserver, RunReport, TraceEvent, TraceObserver,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::damaged;
 
 /// One unobserved, unjournaled analyzer run of `spec`.
 fn run(
@@ -140,6 +145,42 @@ fn open_disturbance_window_blocks_reinstatement() {
         !report.adapt.reinstated && report.adapt.reinstated_at_epoch.is_none(),
         "an open fault window must block reinstatement"
     );
+}
+
+/// Decoder robustness: every truncation and every single-byte mutation of
+/// a recorded correlated trace decodes to a typed error or to a trace that
+/// re-renders and re-decodes to itself. `FaultTrace::from_json` never
+/// panics.
+#[test]
+fn fault_trace_decode_survives_every_truncation_and_byte_flip() {
+    let platform = Platform::icpp15();
+    let analyzer = Analyzer::new(&platform);
+    let desc = loop_app("trace-robust", 3);
+    let config = ExecutionConfig::Strategy(Strategy::SpSingle);
+    let schedule = FaultSchedule::new(11)
+        .with_task_faults(Some(GPU), 0.3, SimTime::ZERO, SimTime::from_millis(20))
+        .with_domain(
+            "switch",
+            vec![DeviceId(0), GPU],
+            1.0,
+            0.5,
+            SimTime::from_millis(2),
+        );
+    let (_, trace) = analyzer
+        .record_fault_trace(&desc, config, &schedule, RetryPolicy::default())
+        .unwrap();
+    assert!(
+        !trace.synthesized.is_empty(),
+        "the trace carries synthesized windows"
+    );
+    let json = trace.to_json();
+    assert_eq!(FaultTrace::from_json(&json).as_ref(), Ok(&trace));
+    for input in damaged(&json) {
+        match FaultTrace::from_json(&input) {
+            Ok(parsed) => assert_eq!(FaultTrace::from_json(&parsed.to_json()), Ok(parsed)),
+            Err(e) => assert!(!e.to_string().is_empty()),
+        }
+    }
 }
 
 proptest! {

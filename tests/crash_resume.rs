@@ -18,6 +18,9 @@ use hetero_match::runtime::{AdaptConfig, HealthConfig, NullObserver, ReplanConfi
 use hetero_match::runtime::{MetricsObserver, MultiObserver, SnapshotObserver, TraceObserver};
 use proptest::prelude::*;
 
+mod common;
+use common::damaged;
+
 /// SK-Loop over several taskwait barriers: enough epochs for the kill
 /// sweep to cross real state (placements, fault counters, RNG cursors).
 fn app() -> AppDescriptor {
@@ -382,23 +385,6 @@ fn salvage_of_a_clean_journal_reports_nothing() {
         hetero_match::matchmaker::RunJournal::load_salvaged("not a journal\n"),
         Err(JournalError::MissingHeader)
     ));
-}
-
-/// Every damaged form of `text` a crash or a bit flip can leave: each
-/// char-boundary prefix, then each ASCII byte with its lowest bit flipped
-/// (still ASCII, so the input stays a `&str`).
-fn damaged(text: &str) -> impl Iterator<Item = String> + '_ {
-    let cuts = (0..text.len())
-        .filter(|&i| text.is_char_boundary(i))
-        .map(|i| text[..i].to_string());
-    let flips = (0..text.len())
-        .filter(|&i| text.as_bytes()[i].is_ascii())
-        .map(|i| {
-            let mut bytes = text.as_bytes().to_vec();
-            bytes[i] ^= 1;
-            String::from_utf8(bytes).expect("an ASCII flip stays UTF-8")
-        });
-    cuts.chain(flips)
 }
 
 /// Decoder robustness: every truncation and every single-byte mutation of

@@ -3,7 +3,8 @@
 //! the simulation, exports are byte-deterministic, kernel-rate profiles
 //! survive persistence, causal span trees tile device capacity against the
 //! blame identity, and streamed metrics deltas fold back to the end-of-run
-//! registry on every execution path.
+//! registry on every execution path. The stream fold and the run diff
+//! survive every truncation and byte flip of their inputs.
 
 use hetero_match::apps::{paper_apps, synth};
 use hetero_match::matchmaker::{
@@ -13,10 +14,13 @@ use hetero_match::matchmaker::{
 use hetero_match::platform::{DeviceId, FaultSchedule, Platform, SimTime};
 use hetero_match::runtime::{
     execute, fold_stream, simulate, AdaptConfig, CriticalPath, HealthConfig, MetricsObserver,
-    MetricsRegistry, MultiObserver, NullObserver, PinnedScheduler, ReplanConfig, SnapshotObserver,
-    SpanTree, TimeBreakdown, TraceObserver,
+    MetricsRegistry, MultiObserver, NullObserver, PinnedScheduler, ReplanConfig, RunDiff,
+    SnapshotObserver, SpanTree, TimeBreakdown, TraceObserver,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::damaged;
 
 /// Acceptance criterion: for every application in the repro corpus and
 /// every execution configuration the analyzer would compare (both
@@ -426,19 +430,44 @@ fn fold_stream_survives_every_truncation_and_byte_flip() {
         .unwrap();
     let stream = obs.stream();
     fold_stream(&stream).expect("the intact stream folds");
-    let cuts = (0..stream.len())
-        .filter(|&i| stream.is_char_boundary(i))
-        .map(|i| stream[..i].to_string());
-    let flips = (0..stream.len())
-        .filter(|&i| stream.as_bytes()[i].is_ascii())
-        .map(|i| {
-            let mut bytes = stream.as_bytes().to_vec();
-            bytes[i] ^= 1;
-            String::from_utf8(bytes).expect("an ASCII flip stays UTF-8")
-        });
-    for input in cuts.chain(flips) {
+    for input in damaged(&stream) {
         if let Err(e) = fold_stream(&input) {
             assert!(!e.to_string().is_empty());
+        }
+    }
+}
+
+/// Decoder robustness: `RunDiff::between` given a damaged registry export
+/// in either argument position (every truncation and every single-byte
+/// mutation, the other side intact) returns a typed error naming the
+/// damaged side, or a diff that renders. It never panics.
+#[test]
+fn run_diff_survives_every_truncation_and_byte_flip() {
+    let mut registry = MetricsRegistry::new();
+    let labels = [("device", "gpu"), ("strategy", "SP-Single")];
+    registry.counter_add("hm_tasks_total", "Tasks.", &labels, 42);
+    registry.gauge_set("hm_makespan_seconds", "Makespan.", &labels[1..], 0.0125);
+    for us in [3, 40, 900] {
+        registry.observe(
+            "hm_task_slot_seconds",
+            "Slot time.",
+            &labels,
+            SimTime::from_micros(us),
+        );
+    }
+    let json = registry.to_json();
+    assert!(json.len() > 1000, "a registry export of a few KB");
+    let intact = RunDiff::between(&json, &json, 0.0).expect("the intact export diffs");
+    assert!(!intact.has_regressions());
+    for damaged in damaged(&json) {
+        for (side, a, b) in [
+            ("baseline", &damaged, &json),
+            ("candidate", &json, &damaged),
+        ] {
+            match RunDiff::between(a, b, 0.0) {
+                Ok(diff) => assert!(!diff.render().is_empty()),
+                Err(e) => assert!(e.to_string().contains(side), "{side}: {e}"),
+            }
         }
     }
 }
