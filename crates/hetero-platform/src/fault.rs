@@ -1232,18 +1232,21 @@ pub struct FaultTrace {
 // missing `version` key reads as 0 so versionless legacy files surface as
 // a typed version mismatch rather than a missing-field parse error.
 impl Deserialize for FaultTrace {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::custom("expected map for FaultTrace"))?;
-        let version = match serde::de::entry(m, "version") {
-            Some(v) => <u32 as Deserialize>::from_value(v)?,
-            None => 0,
-        };
+    fn deserialize(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::de::Error> {
+        let (mut version, mut schedule, mut synthesized) = (None, None, None);
+        r.map_begin()?;
+        while let Some(key) = r.map_next()? {
+            match &*key {
+                "version" => r.field(&mut version)?,
+                "schedule" => r.field(&mut schedule)?,
+                "synthesized" => r.field(&mut synthesized)?,
+                _ => r.skip()?,
+            }
+        }
         Ok(FaultTrace {
-            version,
-            schedule: serde::de::field(m, "schedule", "FaultTrace")?,
-            synthesized: serde::de::field(m, "synthesized", "FaultTrace")?,
+            version: version.unwrap_or(0),
+            schedule: serde::de::required(schedule, "schedule", "FaultTrace")?,
+            synthesized: serde::de::required(synthesized, "synthesized", "FaultTrace")?,
         })
     }
 }

@@ -88,10 +88,11 @@ fn lower_is_better(name: &str) -> bool {
         || name.contains("mean_ns")
 }
 
-/// Extract comparable `(name, value)` pairs from one export.
-fn extract(v: &serde_json::Value) -> Vec<(String, f64)> {
+/// Extract comparable `(name, value)` pairs from one export: its `json`
+/// text, already parsed as `v`.
+fn extract(json: &str, v: &serde_json::Value) -> Vec<(String, f64)> {
     // Shape 1: a MetricsRegistry export.
-    if let Ok(reg) = MetricsRegistry::from_value(v) {
+    if let Ok(reg) = serde_json::from_str::<MetricsRegistry>(json) {
         if !reg.series.is_empty() {
             let mut out = Vec::new();
             for (id, series) in &reg.series {
@@ -176,8 +177,10 @@ impl RunDiff {
         let b: serde_json::Value = serde_json::from_str(b_json)
             .map_err(|e| serde::Error::custom(format!("candidate: {e}")))?;
         let mut names: Vec<String> = Vec::new();
-        let amap: std::collections::BTreeMap<String, f64> = extract(&a).into_iter().collect();
-        let bmap: std::collections::BTreeMap<String, f64> = extract(&b).into_iter().collect();
+        let amap: std::collections::BTreeMap<String, f64> =
+            extract(a_json, &a).into_iter().collect();
+        let bmap: std::collections::BTreeMap<String, f64> =
+            extract(b_json, &b).into_iter().collect();
         names.extend(amap.keys().cloned());
         names.extend(bmap.keys().filter(|k| !amap.contains_key(*k)).cloned());
         names.sort();

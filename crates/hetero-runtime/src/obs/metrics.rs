@@ -33,10 +33,11 @@ pub const HISTOGRAM_BASE_NANOS: u64 = 1_000;
 ///
 /// Serialization is hand-written: the JSON form carries the four stored
 /// fields plus a computed `quantiles` object (`p50`/`p95`/`p99`, in
-/// seconds). Deserialization reads only the stored fields — quantiles are
-/// derived, so a value survives a JSON round-trip unchanged and two equal
-/// histograms always serialize to identical bytes.
-#[derive(Clone, Debug, PartialEq)]
+/// seconds). The derived deserialization reads only the stored fields and
+/// skips `quantiles` as an unknown key — quantiles are derived, so a value
+/// survives a JSON round-trip unchanged and two equal histograms always
+/// serialize to identical bytes.
+#[derive(Clone, Debug, PartialEq, Deserialize)]
 pub struct LogHistogram {
     /// Per-bucket (non-cumulative) observation counts.
     pub buckets: Vec<u64>,
@@ -111,35 +112,24 @@ impl LogHistogram {
 }
 
 impl Serialize for LogHistogram {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("buckets".into(), self.buckets.to_value()),
-            ("overflow".into(), self.overflow.to_value()),
-            ("count".into(), self.count.to_value()),
-            ("sum_nanos".into(), self.sum_nanos.to_value()),
-            (
-                "quantiles".into(),
-                serde::Value::Map(vec![
-                    ("p50".into(), self.quantile(0.50).to_value()),
-                    ("p95".into(), self.quantile(0.95).to_value()),
-                    ("p99".into(), self.quantile(0.99).to_value()),
-                ]),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for LogHistogram {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom(format!("expected LogHistogram map, got {v:?}")))?;
-        Ok(LogHistogram {
-            buckets: serde::de::field(m, "buckets", "LogHistogram")?,
-            overflow: serde::de::field(m, "overflow", "LogHistogram")?,
-            count: serde::de::field(m, "count", "LogHistogram")?,
-            sum_nanos: serde::de::field(m, "sum_nanos", "LogHistogram")?,
-        })
+    fn serialize(&self, w: &mut serde::ser::Writer) {
+        w.map_begin();
+        w.map_key("buckets");
+        self.buckets.serialize(w);
+        w.map_key("overflow");
+        w.u64(self.overflow);
+        w.map_key("count");
+        w.u64(self.count);
+        w.map_key("sum_nanos");
+        w.u64(self.sum_nanos);
+        w.map_key("quantiles");
+        w.map_begin();
+        for (key, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+            w.map_key(key);
+            w.f64(self.quantile(q));
+        }
+        w.map_end();
+        w.map_end();
     }
 }
 

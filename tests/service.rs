@@ -62,6 +62,31 @@ fn directed_malformed_frames_are_typed_not_panics() {
     }
 }
 
+/// A body nested far past the codec's depth limit is `bad_json`, not a
+/// stack overflow that aborts the process: 64 KiB bodies of `[` and of
+/// `{"a":`, decoded on a thread with a 2 MiB stack.
+#[test]
+fn deeply_nested_bodies_are_bad_json_on_a_small_stack() {
+    let max_body = 64 * 1024;
+    let bodies = ["[".repeat(max_body), "{\"a\":".repeat(max_body / 5)];
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            for body in bodies {
+                let frame = format!(
+                    "POST /plan HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                let err = decode_request(frame.as_bytes(), max_body as u64)
+                    .expect_err("an unterminated nest is not a request");
+                assert_eq!(err.verdict(), "bad_json");
+            }
+        })
+        .expect("spawn the decoding thread")
+        .join()
+        .expect("decoding never overflows the stack");
+}
+
 #[test]
 fn burst_chaos_load_sheds_typed_and_stays_deterministic() {
     let platform = Platform::icpp15();
