@@ -6,12 +6,16 @@
 //! platform they drive the adaptation controller's two-way re-pin paths
 //! (the plan-wide SP-Single barrier sweep, its per-kernel SP-Varied form
 //! and DP-Perf → static reinstatement), and each asserts its path fired.
+//! Four ledger rows close the table: each drives one path that reverses or
+//! re-commits a dispatch's booking (a hedge win, a duplicate-check epoch
+//! rollback, a dropout re-executing completed work, safe mode) and asserts
+//! it fired.
 //!
 //! For every case the fixture `tests/fixtures/run_spec_digests.txt` holds
 //! an FNV-1a of the run's `report_digest` and of the observer's export.
 //! After those lines, one line per traced case pins the trace's Chrome
 //! export, its Chrome export with causal flow arrows and its folded span
-//! stacks. Every case is also re-run journaled and must match its
+//! stacks. The ledger rows' run and trace lines follow, in the same form. Every case is also re-run journaled and must match its
 //! unjournaled twin byte for byte. A mismatch writes the regenerated table next to the test
 //! binary's scratch directory (`CARGO_TARGET_TMPDIR`) and names the first
 //! differing line.
@@ -26,6 +30,7 @@ use hetero_match::platform::{DeviceId, FaultSchedule, Platform, SimTime};
 use hetero_match::runtime::{
     report_digest, AdaptConfig, HealthConfig, MetricsObserver, NullObserver, Observer,
     ReplanConfig, RunReport, SnapshotObserver, SpanTree, TraceEvent, TraceObserver,
+    VerificationPolicy, WatchdogConfig,
 };
 
 const FIXTURE: &str = include_str!("fixtures/run_spec_digests.txt");
@@ -349,6 +354,75 @@ fn two_way_cases() -> Vec<TwoWayCase> {
     ]
 }
 
+/// A ledger row: one run on the single-accelerator platform that drives
+/// one path reversing or re-committing a dispatch's booking, and the
+/// report field that proves the path fired.
+struct LedgerCase {
+    label: &'static str,
+    config: ExecutionConfig,
+    spec: RunSpec,
+    fired: fn(&RunReport) -> bool,
+}
+
+/// A 300x GPU throttle under straggler hedging (hedge wins), silent GPU
+/// corruption under duplicate-check verification (epoch rollbacks), a
+/// mid-run GPU dropout under DP-Perf (completed work re-executed) and
+/// task faults on every device (safe mode), all on one compute-bound
+/// four-iteration loop.
+fn ledger_cases() -> Vec<LedgerCase> {
+    let gpu = DeviceId(1);
+    let schedule = || FaultSchedule::new(7);
+    let hedging = HealthConfig {
+        watchdog: Some(WatchdogConfig {
+            slack: 1.5,
+            hedging: true,
+        }),
+        ..HealthConfig::disabled()
+    };
+    let dup_check = HealthConfig {
+        verification: VerificationPolicy::DupCheck { sample_rate: 1.0 },
+        ..HealthConfig::disabled()
+    };
+    let sp_single = ExecutionConfig::Strategy(Strategy::SpSingle);
+    vec![
+        LedgerCase {
+            label: "hedge-win",
+            config: sp_single,
+            spec: RunSpec::resilient(
+                schedule().with_throttle(gpu, SimTime::ZERO, SimTime::MAX, 300.0, 300.0),
+                hedging,
+            ),
+            fired: |r| r.health.hedges_won > 0,
+        },
+        LedgerCase {
+            label: "dup-check-rollback",
+            config: sp_single,
+            spec: RunSpec::resilient(
+                schedule().with_silent_corruption(gpu, 1.0, SimTime::ZERO, SimTime::MAX),
+                dup_check,
+            ),
+            fired: |r| r.health.epoch_rollbacks > 0,
+        },
+        LedgerCase {
+            label: "dropout-reexecution",
+            config: ExecutionConfig::Strategy(Strategy::DpPerf),
+            spec: RunSpec::faulty(schedule().with_dropout(gpu, SimTime::from_micros(4970))),
+            fired: |r| r.faults.reexecutions > 0,
+        },
+        LedgerCase {
+            label: "safe-mode",
+            config: sp_single,
+            spec: RunSpec::faulty(schedule().with_task_faults(
+                None,
+                1.0,
+                SimTime::ZERO,
+                SimTime::MAX,
+            )),
+            fired: |r| r.faults.safe_mode_tasks > 0,
+        },
+    ]
+}
+
 #[test]
 fn every_run_path_matches_the_pinned_digests() {
     let platform = Platform::icpp15_with_phi();
@@ -417,7 +491,37 @@ fn every_run_path_matches_the_pinned_digests() {
          and PlanRepaired event"
     );
 
-    let table = table.render();
+    let mut ledger = Table::default();
+    let app = synth::single_kernel(
+        "ledger",
+        1 << 18,
+        8192.0,
+        ExecutionFlow::Loop { iterations: 4 },
+        true,
+    );
+    for case in ledger_cases() {
+        let outcomes = pin_case(
+            &mut ledger,
+            &analyzer,
+            &two_way,
+            case.label,
+            &app,
+            case.config,
+            &case.spec,
+        );
+        for outcome in outcomes {
+            let report = outcome.unwrap_or_else(|e| panic!("{}: {e}", case.label));
+            assert!(
+                (case.fired)(&report),
+                "{}: the path did not fire: {:?} {:?}",
+                case.label,
+                report.faults,
+                report.health
+            );
+        }
+    }
+
+    let table = table.render() + &ledger.render();
     if table != FIXTURE {
         let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("run_spec_digests.txt");
         std::fs::write(&out, &table).expect("write regenerated table");
