@@ -401,6 +401,41 @@ impl RunJournal {
     /// fails its envelope, hash, parse, or sequence check is rejected
     /// with a typed error: mid-file corruption is never skipped over.
     pub fn load(text: &str) -> Result<Self, JournalError> {
+        match Self::scan(text)? {
+            (journal, None) => Ok(journal),
+            (_, Some(cut)) => Err(cut.error),
+        }
+    }
+
+    /// Load `text`, salvaging the longest valid record prefix.
+    ///
+    /// Where [`RunJournal::load`] rejects the whole journal on the first
+    /// mid-file corruption, this keeps every record *before* the first bad
+    /// committed line and reports the cut as a typed [`SalvageReport`]
+    /// (first bad line, the reason strict load would have given, and how
+    /// many committed lines were discarded). The error path is reserved
+    /// for journals with nothing to salvage: empty text, an unreadable
+    /// header, or a version this build cannot read. A journal that loads
+    /// cleanly returns `(journal, None)`.
+    pub fn load_salvaged(text: &str) -> Result<(Self, Option<SalvageReport>), JournalError> {
+        let (mut journal, cut) = Self::scan(text)?;
+        // A cut prefix behaves exactly like a journal whose tail was never
+        // committed — resume re-executes from the cut.
+        journal.torn_discarded |= cut.is_some();
+        let salvage = cut.map(|cut| SalvageReport {
+            first_bad_line: cut.line,
+            reason: cut.error.to_string(),
+            discarded_lines: cut.discarded,
+        });
+        Ok((journal, salvage))
+    }
+
+    /// The one scan behind both loaders: split off the committed lines,
+    /// decode and version-check the header (the only failures that leave
+    /// nothing to keep), then read records until the first committed line
+    /// that fails its envelope, hash, parse or sequence check. Returns the
+    /// valid record prefix and, if a line failed, where and why.
+    fn scan(text: &str) -> Result<(Self, Option<Cut>), JournalError> {
         if text.is_empty() {
             return Err(JournalError::Empty);
         }
@@ -427,121 +462,69 @@ impl RunJournal {
             .map_err(|(found, expected)| JournalError::VersionMismatch { found, expected })?;
         let mut records = Vec::with_capacity(record_lines.len());
         let mut bodies = Vec::with_capacity(record_lines.len());
+        let mut cut = None;
         for (i, &line) in record_lines.iter().enumerate() {
             let lineno = i + 2;
-            let Some(body) = decode_line(line) else {
-                return Err(JournalError::CorruptLine { line: lineno });
-            };
-            let record: EpochRecord =
-                serde_json::from_str(body).map_err(|e| JournalError::BadParse {
-                    line: lineno,
-                    error: e.to_string(),
-                })?;
-            if record.epoch != i {
-                return Err(JournalError::NonSequentialEpoch {
-                    line: lineno,
-                    found: record.epoch,
-                    expected: i,
-                });
+            match decode_record(line, lineno, i) {
+                Ok((record, body)) => {
+                    records.push(record);
+                    bodies.push(body.to_string());
+                }
+                Err(error) => {
+                    cut = Some(Cut {
+                        line: lineno,
+                        error,
+                        discarded: record_lines.len() - i,
+                    });
+                    break;
+                }
             }
-            records.push(record);
-            bodies.push(body.to_string());
         }
-        Ok(RunJournal {
+        let journal = RunJournal {
             header,
             records,
             torn_discarded,
             bodies,
-        })
-    }
-
-    /// Load `text`, salvaging the longest valid record prefix.
-    ///
-    /// Where [`RunJournal::load`] rejects the whole journal on the first
-    /// mid-file corruption, this keeps every record *before* the first bad
-    /// committed line and reports the cut as a typed [`SalvageReport`]
-    /// (first bad line, the reason strict load would have given, and how
-    /// many committed lines were discarded). The error path is reserved
-    /// for journals with nothing to salvage: empty text, an unreadable
-    /// header, or a version this build cannot read. A journal that loads
-    /// cleanly returns `(journal, None)`.
-    pub fn load_salvaged(text: &str) -> Result<(Self, Option<SalvageReport>), JournalError> {
-        if text.is_empty() {
-            return Err(JournalError::Empty);
-        }
-        let mut committed: Vec<&str> = Vec::new();
-        let mut torn_discarded = false;
-        for seg in text.split_inclusive('\n') {
-            match seg.strip_suffix('\n') {
-                Some(line) => committed.push(line),
-                None => torn_discarded = true,
-            }
-        }
-        let Some((&header_line, record_lines)) = committed.split_first() else {
-            return Err(JournalError::MissingHeader);
         };
-        let Some(header_body) = decode_line(header_line) else {
-            return Err(JournalError::MissingHeader);
-        };
-        let header: JournalHeader =
-            serde_json::from_str(header_body).map_err(|e| JournalError::BadParse {
-                line: 1,
-                error: e.to_string(),
-            })?;
-        validate_version(header.version, JOURNAL_VERSION)
-            .map_err(|(found, expected)| JournalError::VersionMismatch { found, expected })?;
-        let mut records = Vec::new();
-        let mut bodies = Vec::new();
-        let mut salvage = None;
-        for (i, &line) in record_lines.iter().enumerate() {
-            let lineno = i + 2;
-            let bad = |error: JournalError| SalvageReport {
-                first_bad_line: lineno,
-                reason: error.to_string(),
-                discarded_lines: record_lines.len() - i,
-            };
-            let Some(body) = decode_line(line) else {
-                salvage = Some(bad(JournalError::CorruptLine { line: lineno }));
-                break;
-            };
-            let record: EpochRecord = match serde_json::from_str(body) {
-                Ok(record) => record,
-                Err(e) => {
-                    salvage = Some(bad(JournalError::BadParse {
-                        line: lineno,
-                        error: e.to_string(),
-                    }));
-                    break;
-                }
-            };
-            if record.epoch != i {
-                salvage = Some(bad(JournalError::NonSequentialEpoch {
-                    line: lineno,
-                    found: record.epoch,
-                    expected: i,
-                }));
-                break;
-            }
-            records.push(record);
-            bodies.push(body.to_string());
-        }
-        Ok((
-            RunJournal {
-                header,
-                records,
-                // A cut prefix behaves exactly like a journal whose tail
-                // was never committed — resume re-executes from the cut.
-                torn_discarded: torn_discarded || salvage.is_some(),
-                bodies,
-            },
-            salvage,
-        ))
+        Ok((journal, cut))
     }
 
     /// The number of committed epoch records.
     pub fn record_count(&self) -> usize {
         self.records.len()
     }
+}
+
+/// Record `index` of a journal, on 1-based file line `lineno`: its envelope
+/// and hash, its parse and its place in the epoch sequence.
+fn decode_record(
+    line: &str,
+    lineno: usize,
+    index: usize,
+) -> Result<(EpochRecord, &str), JournalError> {
+    let body = decode_line(line).ok_or(JournalError::CorruptLine { line: lineno })?;
+    let record: EpochRecord = serde_json::from_str(body).map_err(|e| JournalError::BadParse {
+        line: lineno,
+        error: e.to_string(),
+    })?;
+    if record.epoch != index {
+        return Err(JournalError::NonSequentialEpoch {
+            line: lineno,
+            found: record.epoch,
+            expected: index,
+        });
+    }
+    Ok((record, body))
+}
+
+/// The first committed record line a scan rejected.
+struct Cut {
+    /// 1-based file line.
+    line: usize,
+    /// The typed error strict load raises there.
+    error: JournalError,
+    /// Committed lines from `line` to end of file.
+    discarded: usize,
 }
 
 /// What [`RunJournal::load_salvaged`] cut and why: the strict-load error
@@ -694,11 +677,6 @@ impl JournalSink {
     /// Records committed (validated or appended) so far.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// Records still pending byte-validation against the resume prefix.
-    pub fn replay_remaining(&self) -> u64 {
-        (self.replay_bodies.len() as u64).saturating_sub(self.records)
     }
 
     /// The journal's full on-disk text: header + committed records, one

@@ -131,18 +131,6 @@ impl RunReport {
             self.makespan.as_secs_f64() / healthy.makespan.as_secs_f64()
         }
     }
-
-    /// Fraction of total transfer time relative to the makespan (the
-    /// "data transfer takes 88% of the GPU execution time" style numbers
-    /// in the paper's text are per-device; this global ratio is used in
-    /// reports).
-    pub fn transfer_time_fraction(&self) -> f64 {
-        if self.makespan.is_zero() {
-            0.0
-        } else {
-            self.counters.transfers.time.as_secs_f64() / self.makespan.as_secs_f64()
-        }
-    }
 }
 
 #[cfg(test)]
