@@ -497,6 +497,61 @@ fn hedging_beats_fail_stop_executor_on_mid_run_straggler() {
 }
 
 #[test]
+fn time_lost_matches_fault_blame_when_a_hedge_won_task_is_reexecuted() {
+    // Two CPU-pinned tasks in one epoch. Every CPU attempt fails for the
+    // first two seconds, so both primaries straggle past their watchdog;
+    // the smaller one's hedge wins on the GPU. The GPU then drops out
+    // while the epoch is still open, so the hedge-won task re-executes.
+    // Its committed dispatch at that point is the peer's span, which
+    // carries no fault loss of its own: all of it is lost, in `time_lost`
+    // as in the per-device blame.
+    let platform = Platform::test_small();
+    let per_task = 1u64 << 16;
+    let mut b = Program::builder();
+    let x = b.buffer("x", 5 * per_task, 4);
+    let k = b.kernel("k", balanced_profile(400_000.0));
+    for (from, until) in [(0, per_task), (per_task, 5 * per_task)] {
+        b.submit_pinned(
+            k,
+            until - from,
+            vec![Access::read_write(Region::new(x, from, until))],
+            DeviceId(0),
+        );
+    }
+    let program = b.build();
+    let schedule = FaultSchedule::new(61)
+        .with_task_faults(
+            Some(DeviceId(0)),
+            1.0,
+            SimTime::ZERO,
+            SimTime::from_millis(2000),
+        )
+        .with_dropout(DeviceId(1), SimTime::from_millis(2700));
+    let report = simulate_resilient(
+        &program,
+        &platform,
+        &mut PinnedScheduler,
+        &schedule,
+        RetryPolicy::default(),
+        &hedging_only(),
+    );
+
+    assert_eq!(report.health.hedges_won, 1, "{:?}", report.health);
+    assert_eq!(report.faults.reexecutions, 1, "{:?}", report.faults);
+    assert_eq!(total_items(&report), 5 * per_task);
+    let blamed: SimTime = report
+        .breakdown
+        .per_device
+        .iter()
+        .map(|b| b.fault_loss)
+        .sum();
+    assert_eq!(
+        report.faults.time_lost, blamed,
+        "time_lost must equal the fault loss the blame books charge"
+    );
+}
+
+#[test]
 fn dup_check_detects_silent_corruption_and_recommits_clean() {
     let platform = Platform::test_small();
     let per_task = 1000u64;
