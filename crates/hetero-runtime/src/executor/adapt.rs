@@ -30,9 +30,9 @@ pub(super) struct AdaptCtx {
     /// escalated DP-Perf scheduler.
     pub(super) obs: BTreeMap<(KernelId, DeviceId), RateObservation>,
     /// Consecutive barriers whose skew exceeded the threshold.
-    pub(super) consecutive_imbalanced: u32,
+    consecutive_imbalanced: u32,
     /// Re-solves since the run last met the balance target.
-    pub(super) resolves_since_balance: u32,
+    resolves_since_balance: u32,
     /// Per task: repartition override re-pinning a not-yet-placed chunk.
     pub(super) override_of: Vec<Option<DeviceId>>,
     /// The internal DP-Perf scheduler, once the static plan is abandoned.
@@ -43,10 +43,10 @@ pub(super) struct AdaptCtx {
     /// Consecutive escalated barriers that were balanced *and* free of any
     /// open disturbance window; reaching `reinstate_after` attempts a
     /// de-escalation back to the (re-solved) static plan.
-    pub(super) calm_barriers: u32,
+    calm_barriers: u32,
     /// When the previous taskwait barrier was reached — the closing
     /// epoch's wall clock, the de-escalation guard's dynamic baseline.
-    pub(super) last_barrier_at: SimTime,
+    last_barrier_at: SimTime,
 }
 
 impl AdaptCtx {

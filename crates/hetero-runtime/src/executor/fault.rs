@@ -16,7 +16,7 @@ use hetero_platform::{
 /// Mutable fault-injection state, present only on the faulty path.
 pub(super) struct FaultCtx<'a> {
     pub(super) schedule: &'a FaultSchedule,
-    pub(super) policy: RetryPolicy,
+    policy: RetryPolicy,
     pub(super) rng: FaultRng,
     pub(super) counters: FaultCounters,
     /// Per device: when it permanently dropped out (for the `dead` blame
@@ -27,7 +27,7 @@ pub(super) struct FaultCtx<'a> {
     /// in-flight event of a task it kills by bumping this.
     pub(super) gen: Vec<u32>,
     /// Per task: already failed over once (next exhaustion → safe mode).
-    pub(super) failed_over: Vec<bool>,
+    failed_over: Vec<bool>,
     /// Per task: placement was forced (scheduler bypassed), so the
     /// scheduler must not be told about its completion — its own books
     /// still name the device *it* chose.
@@ -88,7 +88,7 @@ impl<'a> FaultCtx<'a> {
     /// [`hetero_platform::FaultTrace`] computes). The dispatch time lets a
     /// replay schedule gate its baked-in synthesized windows to exactly
     /// the tasks the recorded run's live windows could reach.
-    pub(super) fn task_fault_prob(&self, dev: DeviceId, at: SimTime, dispatched: SimTime) -> f64 {
+    fn task_fault_prob(&self, dev: DeviceId, at: SimTime, dispatched: SimTime) -> f64 {
         self.schedule
             .task_fault_prob_dispatched(dev, at, dispatched, &self.synth)
     }

@@ -14,7 +14,7 @@ pub(super) struct Hedge {
     /// Device the duplicate runs on.
     pub(super) peer: DeviceId,
     /// When the duplicate was launched.
-    pub(super) launched: SimTime,
+    launched: SimTime,
     /// The duplicate will finish before the straggling primary (decided at
     /// launch — attempt durations are known at dispatch).
     pub(super) winner: bool,
@@ -28,7 +28,7 @@ pub(super) struct HealthCtx {
     pub(super) rng: FaultRng,
     pub(super) report: HealthReport,
     /// Per device: consecutive bad observations (resets on a good one).
-    pub(super) consecutive_bad: Vec<u32>,
+    consecutive_bad: Vec<u32>,
     /// Per device: circuit-breaker state.
     pub(super) state: Vec<BreakerState>,
     /// Per device: the probe task let through while half-open.

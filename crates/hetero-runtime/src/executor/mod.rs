@@ -749,8 +749,6 @@ impl<'a> Sim<'a> {
         } else {
             self.scheduler.bind(&ctx)
         };
-        // A binding that names a dead or quarantined device is redirected
-        // to the fallback survivor.
         if self.faults.is_some() {
             dev = self.redirect_unavailable(t, dev);
         }
@@ -1037,7 +1035,8 @@ impl<'a> Sim<'a> {
         };
         if !suppress {
             // Escalated bindings report to the internal DP-Perf scheduler
-            // whose books they live in, not the original (static) policy.
+            // whose books they live in (to none once the static plan is
+            // reinstated), not the original (static) policy.
             let escalated = self
                 .adapt
                 .as_mut()
@@ -1059,9 +1058,8 @@ impl<'a> Sim<'a> {
         if let Some(hd) = self.cancel_hedge(t) {
             self.free_slot(hd.peer);
         }
-        if self.health.is_some() {
-            let bad = self.health.as_ref().unwrap().straggled[t.0]
-                || self.cost_of[t.0].fault > SimTime::ZERO;
+        if let Some(h) = &self.health {
+            let bad = h.straggled[t.0] || self.cost_of[t.0].fault > SimTime::ZERO;
             self.observe(dev, !bad, Some(t));
         }
 
