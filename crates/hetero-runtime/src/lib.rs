@@ -97,8 +97,8 @@ pub use native::{run_native, run_native_parallel, ExecOrder, HostBuffers, Kernel
 pub use obs::{
     apply_snapshot, fold_stream, CriticalPath, DeviceBreakdown, DiffEntry, DiffVerdict,
     EpochSnapshot, LogHistogram, MetricsObserver, MetricsRegistry, MultiObserver, NullObserver,
-    Observer, OpenState, PathKind, PathSegment, RunDiff, Series, SeriesValue, SnapshotObserver,
-    Span, SpanKind, SpanTree, TimeBreakdown, TraceObserver,
+    Observer, OpenState, PathKind, PathSegment, RunDiff, Series, SeriesHandle, SeriesTable,
+    SeriesValue, SnapshotObserver, Span, SpanKind, SpanTree, TimeBreakdown, TraceObserver,
 };
 pub use program::{
     split_even, KernelDesc, KernelId, Op, PlanError, Program, ProgramBuilder, TaskDesc, TaskId,

@@ -43,7 +43,9 @@ pub mod span;
 
 pub use blame::{CriticalPath, DeviceBreakdown, PathKind, PathSegment, TimeBreakdown};
 pub use diff::{DiffEntry, DiffVerdict, RunDiff};
-pub use metrics::{LogHistogram, MetricsObserver, MetricsRegistry, Series, SeriesValue};
+pub use metrics::{
+    LogHistogram, MetricsObserver, MetricsRegistry, Series, SeriesHandle, SeriesTable, SeriesValue,
+};
 pub use snapshot::{apply_snapshot, fold_stream, EpochSnapshot, OpenState, SnapshotObserver};
 pub use span::{Span, SpanKind, SpanTree};
 

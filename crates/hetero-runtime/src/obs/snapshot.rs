@@ -11,6 +11,11 @@
 //! (`stream-fold-equivalence`) — is that [`fold_stream`] over the emitted
 //! lines reconstructs the end-of-run [`MetricsRegistry`] byte-for-byte.
 //!
+//! The observer does not compare the whole registry at each barrier: the
+//! registry marks every series it updates in a dirty set, and `emit`
+//! compares only those series (in identity order) against the values it
+//! last sent, kept by series handle.
+//!
 //! Determinism is inherited from the simulator: the stream is a pure
 //! function of the run, so CI can double-run and byte-diff it, and a
 //! crash+resume run (which re-executes from `t = 0` under redo-replay)
@@ -18,7 +23,7 @@
 
 use std::collections::BTreeSet;
 
-use super::metrics::{MetricsObserver, MetricsRegistry, Series, SeriesValue};
+use super::metrics::{MetricsObserver, MetricsRegistry, Series, SeriesHandle, SeriesValue};
 use super::Observer;
 use crate::program::TaskId;
 use crate::stats::RunReport;
@@ -68,21 +73,20 @@ pub struct EpochSnapshot {
 pub fn apply_snapshot(reg: &mut MetricsRegistry, snap: &EpochSnapshot) -> Result<(), serde::Error> {
     for s in &snap.changed {
         let id = s.id();
-        match reg.series.get_mut(&id) {
-            None => {
-                reg.series.insert(id, s.clone());
-            }
-            Some(mine) => match (&mut mine.value, &s.value) {
+        let folded = reg.fold_series(&id, s, |mine, theirs| {
+            match (mine, theirs) {
                 (SeriesValue::Counter(a), SeriesValue::Counter(b)) => *a += b,
                 (SeriesValue::Gauge(a), SeriesValue::Gauge(b)) => *a = *b,
                 (SeriesValue::Histogram(a), SeriesValue::Histogram(b)) => a.merge(b),
-                _ => {
-                    return Err(serde::Error::custom(format!(
-                        "snapshot {}: series `{id}` changed kind mid-stream",
-                        snap.seq
-                    )))
-                }
-            },
+                _ => return false,
+            }
+            true
+        });
+        if !folded {
+            return Err(serde::Error::custom(format!(
+                "snapshot {}: series `{id}` changed kind mid-stream",
+                snap.seq
+            )));
         }
     }
     Ok(())
@@ -117,6 +121,28 @@ pub fn fold_stream(stream: &str) -> Result<MetricsRegistry, serde::Error> {
 /// A live per-line sink for emitted snapshot lines.
 type LineSink = Box<dyn FnMut(&str)>;
 
+/// An [`EpochSnapshot`] whose series borrow from the live registry: it
+/// serializes to the same bytes without cloning names, help or labels.
+#[derive(Serialize)]
+struct SnapshotLine<'a> {
+    seq: u64,
+    epoch: Option<u64>,
+    at: SimTime,
+    tasks_total: u64,
+    faults_total: u64,
+    open: OpenState,
+    changed: Vec<SeriesDelta<'a>>,
+}
+
+/// One [`Series`] of a snapshot line, borrowed but for its delta value.
+#[derive(Serialize)]
+struct SeriesDelta<'a> {
+    name: &'a str,
+    help: &'a str,
+    labels: &'a [(String, String)],
+    value: SeriesValue,
+}
+
 /// The streaming metrics sink: a [`MetricsObserver`] that additionally
 /// emits one delta-encoded [`EpochSnapshot`] JSON line per committed epoch
 /// flush, plus a final run-end line. Lines are collected in order (see
@@ -124,7 +150,11 @@ type LineSink = Box<dyn FnMut(&str)>;
 /// they are produced.
 pub struct SnapshotObserver {
     inner: MetricsObserver,
-    prev: MetricsRegistry,
+    /// The value each series had in the last line that carried it, by
+    /// handle; `None` for series no line has carried yet.
+    sent: Vec<Option<SeriesValue>>,
+    /// Scratch for the handles updated since the last line.
+    dirty: Vec<SeriesHandle>,
     lines: Vec<String>,
     seq: u64,
     quarantined: BTreeSet<usize>,
@@ -149,7 +179,8 @@ impl SnapshotObserver {
     pub fn new(platform: &Platform, strategy: &str) -> Self {
         Self {
             inner: MetricsObserver::new(platform, strategy),
-            prev: MetricsRegistry::new(),
+            sent: Vec::new(),
+            dirty: Vec::new(),
             lines: Vec::new(),
             seq: 0,
             quarantined: BTreeSet::new(),
@@ -187,19 +218,10 @@ impl SnapshotObserver {
         &self.lines
     }
 
-    fn counter_sum(reg: &MetricsRegistry, name: &str) -> u64 {
-        reg.series
-            .values()
-            .filter(|s| s.name == name)
-            .map(|s| match &s.value {
-                SeriesValue::Counter(c) => *c,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    fn delta(prev: &Series, cur: &Series) -> Series {
-        let value = match (&prev.value, &cur.value) {
+    /// What a line carries for a series last sent as `prev` and now `cur`:
+    /// counters and histograms the increment, gauges the new value.
+    fn delta(prev: &SeriesValue, cur: &SeriesValue) -> SeriesValue {
+        match (prev, cur) {
             (SeriesValue::Counter(a), SeriesValue::Counter(b)) => {
                 SeriesValue::Counter(b.saturating_sub(*a))
             }
@@ -216,32 +238,40 @@ impl SnapshotObserver {
             // Gauges (and the impossible kind-change case) are carried as
             // the new absolute value.
             (_, v) => v.clone(),
-        };
-        Series {
-            name: cur.name.clone(),
-            help: cur.help.clone(),
-            labels: cur.labels.clone(),
-            value,
         }
     }
 
     fn emit(&mut self, epoch: Option<u64>, at: SimTime) {
         self.correlated_until.retain(|&u| u > at);
-        let cur = self.inner.registry();
-        let mut changed = Vec::new();
-        for (id, s) in &cur.series {
-            match self.prev.series.get(id) {
-                Some(p) if p.value == s.value => {}
-                Some(p) => changed.push(Self::delta(p, s)),
-                None => changed.push(s.clone()),
-            }
+        self.inner.take_dirty(&mut self.dirty);
+        let reg = self.inner.registry();
+        self.dirty
+            .sort_unstable_by(|a, b| reg.series.id_at(*a).cmp(reg.series.id_at(*b)));
+        self.sent.resize(reg.series.len(), None);
+        let mut changed = Vec::with_capacity(self.dirty.len());
+        for h in self.dirty.drain(..) {
+            let s = reg.series.at(h);
+            let sent = &mut self.sent[h.index()];
+            let value = match sent {
+                Some(p) if *p == s.value => continue,
+                Some(p) => Self::delta(p, &s.value),
+                None => s.value.clone(),
+            };
+            *sent = Some(s.value.clone());
+            changed.push(SeriesDelta {
+                name: &s.name,
+                help: &s.help,
+                labels: &s.labels,
+                value,
+            });
         }
-        let snap = EpochSnapshot {
+        let (tasks_total, faults_total) = self.inner.totals();
+        let snap = SnapshotLine {
             seq: self.seq,
             epoch,
             at,
-            tasks_total: Self::counter_sum(cur, "hm_tasks_total"),
-            faults_total: Self::counter_sum(cur, "hm_faults_total"),
+            tasks_total,
+            faults_total,
             open: OpenState {
                 quarantined: self.quarantined.iter().copied().collect(),
                 dead: self.dead.iter().copied().collect(),
@@ -250,7 +280,6 @@ impl SnapshotObserver {
             changed,
         };
         self.seq += 1;
-        self.prev = cur.clone();
         let line = serde_json::to_string(&snap).expect("snapshot serializes");
         if let Some(sink) = &mut self.sink {
             sink(&line);
