@@ -977,8 +977,9 @@ impl<'a> Sim<'a> {
 
     /// Take `t`'s current dispatch on `dev` back out of every ledger
     /// [`Sim::book`] charged, and charge the `span` of slot time it really
-    /// burned to the blame category `into`. The fault loss booked at
-    /// dispatch keeps its category, so `into` gets `span` net of it. For
+    /// burned to the blame category `into` and, whatever the category, to
+    /// the device's `busy`. The fault loss booked at dispatch keeps its
+    /// category, so `into` gets `span` net of it. For
     /// [`Discard::FaultLoss`] the net may be negative: booked attempts
     /// that sit after a dropout were never burned (the dead tail covers
     /// them) and come back out of `fault_loss` and `time_lost`.
@@ -986,7 +987,7 @@ impl<'a> Sim<'a> {
         let cost = self.cost_of[t.0];
         let task = self.tasks[t.0];
         let c = &mut self.counters.devices[dev.0];
-        c.busy = c.busy.saturating_sub(cost.busy());
+        c.busy = c.busy.saturating_sub(cost.busy()) + span;
         if cost.produced {
             c.tasks -= 1;
             c.items -= task.items;
@@ -1014,7 +1015,6 @@ impl<'a> Sim<'a> {
             Discard::HedgeWaste => {
                 // The primary held its slot until the peer won.
                 b.hedge_waste += net;
-                self.counters.devices[dev.0].busy += span;
                 if let Some(h) = &mut self.health {
                     h.report.time_hedged += net;
                 }
